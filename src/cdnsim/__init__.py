@@ -16,7 +16,6 @@ from .model import (
     ConfigError,
     CostMatrix,
     HorizonError,
-    QueueSnapshot,
     RateError,
     RunResult,
     ServiceSpec,
@@ -72,7 +71,6 @@ __all__ = [
     "LatticeLayout",
     "MappingDecision",
     "PopularityProfile",
-    "QueueSnapshot",
     "RateError",
     "RunResult",
     "ServiceSpec",

@@ -75,6 +75,51 @@ def _one_run(args):
     )
 
 
+def _fixed_topology(cfg: SimConfig, sweep: SweepSpec, cost_matrix=None):
+    """The cost matrix and the per-cache-size placements that every run of a
+    fixed-topology sweep shares: one layout for the whole sweep and one
+    placement per cache size, both derived from the base seed. A given
+    cost_matrix stands in for the drawn layout."""
+    if cost_matrix is None:
+        layout = random_lattice_layout(
+            cfg.n_users, cfg.n_servers, cfg.lattice_side,
+            substream(sweep.base_seed, "sweep-layout"),
+        )
+        cost_matrix = manhattan_cost_matrix(layout)
+    profile = zipf_profile(cfg.n_files, cfg.zipf_beta)
+    placements = {
+        m: proportional_placement(
+            profile, cfg.n_servers, m,
+            Random(mix_seed(sweep.base_seed, "sweep-placement", m)),
+        )
+        for m in sweep.cache_sizes
+    }
+    return cost_matrix, placements
+
+
+def _point_setup(cfg: SimConfig, sweep: SweepSpec):
+    # (config, strategy) of every sweep point, with the point named in errors.
+    setups = []
+    for m, param in sweep.points():
+        try:
+            setups.append(
+                (validate_config(replace(cfg, cache_size=m)), StrategySpec(sweep.strategy, param))
+            )
+        except ConfigError as err:
+            raise ConfigError(f"sweep point M={m} param={param}: {err}") from err
+    return setups
+
+
+def _aggregate_point(cfg: SimConfig, sweep: SweepSpec, m: int, param, results) -> AggregateResult:
+    return replace(
+        aggregate_runs(results, param=param),
+        strategy=sweep.strategy,
+        cache_size=m,
+        zipf_beta=cfg.zipf_beta,
+        events=cfg.horizon_events,
+    )
+
+
 def run_sweep(
     cfg: SimConfig,
     sweep: SweepSpec,
@@ -91,32 +136,17 @@ def run_sweep(
     fixed_topology freezes one layout for the whole sweep and one
     placement per cache size, both derived from the base seed.
     """
-    fixed_matrix = cost_matrix
-    if fixed_topology and fixed_matrix is None:
-        layout = random_lattice_layout(
-            cfg.n_users, cfg.n_servers, cfg.lattice_side,
-            substream(sweep.base_seed, "sweep-layout"),
-        )
-        fixed_matrix = manhattan_cost_matrix(layout)
+    setups = _point_setup(cfg, sweep)
+    placements = {}
+    if fixed_topology:
+        cost_matrix, placements = _fixed_topology(cfg, sweep, cost_matrix)
 
     jobs = []
-    points = sweep.points()
-    for point_idx, (m, param) in enumerate(points):
-        try:
-            point_cfg = validate_config(replace(cfg, cache_size=m))
-            strategy = StrategySpec(sweep.strategy, param)
-        except ConfigError as err:
-            raise ConfigError(f"sweep point M={m} param={param}: {err}") from err
-        allocation = None
-        if fixed_topology:
-            allocation = proportional_placement(
-                zipf_profile(cfg.n_files, cfg.zipf_beta),
-                cfg.n_servers, m,
-                Random(mix_seed(sweep.base_seed, "sweep-placement", m)),
-            )
+    for point_idx, (point_cfg, strategy) in enumerate(setups):
+        allocation = placements.get(point_cfg.cache_size)
         for run_idx in range(sweep.n_runs):
             run_seed = mix_seed(sweep.base_seed, point_idx, run_idx)
-            jobs.append((point_cfg, strategy, run_seed, fixed_matrix, allocation))
+            jobs.append((point_cfg, strategy, run_seed, cost_matrix, allocation))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -124,20 +154,11 @@ def run_sweep(
     else:
         results = [_one_run(job) for job in jobs]
 
-    aggregates = []
-    for point_idx, (m, param) in enumerate(points):
-        batch = results[point_idx * sweep.n_runs : (point_idx + 1) * sweep.n_runs]
-        agg = aggregate_runs(batch, param=param)
-        aggregates.append(
-            replace(
-                agg,
-                strategy=sweep.strategy,
-                cache_size=m,
-                zipf_beta=cfg.zipf_beta,
-                events=cfg.horizon_events,
-            )
-        )
-    return aggregates
+    n = sweep.n_runs
+    return [
+        _aggregate_point(cfg, sweep, m, param, results[i * n : (i + 1) * n])
+        for i, (m, param) in enumerate(sweep.points())
+    ]
 
 
 def _fmt(x: float) -> str:
@@ -322,19 +343,23 @@ def _main_simulate(argv) -> int:
 
 
 def _run_traced_point(cfg, sweep, matrix, args):
-    # Single point, single run, with the same seed the sweep would use.
+    # Single point, single run, with the seed and, under --fixed-topology,
+    # the cost matrix and placement that run_sweep would give it.
     (m, param) = sweep.points()[0]
-    point_cfg = validate_config(replace(cfg, cache_size=m))
-    strategy = StrategySpec(sweep.strategy, param)
+    [(point_cfg, strategy)] = _point_setup(cfg, sweep)
     run_seed = mix_seed(sweep.base_seed, 0, 0)
 
     # Materialize the allocation the run would draw so it can be dumped.
-    allocation = proportional_placement(
-        zipf_profile(point_cfg.n_files, point_cfg.zipf_beta),
-        point_cfg.n_servers,
-        m,
-        substream(run_seed, "placement"),
-    )
+    if args.fixed_topology:
+        matrix, placements = _fixed_topology(cfg, sweep, matrix)
+        allocation = placements[m]
+    else:
+        allocation = proportional_placement(
+            zipf_profile(point_cfg.n_files, point_cfg.zipf_beta),
+            point_cfg.n_servers,
+            m,
+            substream(run_seed, "placement"),
+        )
     if args.dump_placement:
         with open(args.dump_placement, "w", encoding="utf-8") as fh:
             for k, files in enumerate(allocation.server_files):
@@ -349,16 +374,7 @@ def _run_traced_point(cfg, sweep, matrix, args):
     finally:
         if trace_fh is not None:
             trace_fh.close()
-    agg = aggregate_runs([result], param=param)
-    return [
-        replace(
-            agg,
-            strategy=sweep.strategy,
-            cache_size=m,
-            zipf_beta=point_cfg.zipf_beta,
-            events=point_cfg.horizon_events,
-        )
-    ]
+    return [_aggregate_point(cfg, sweep, m, param, [result])]
 
 
 def _main_oracle_check(argv) -> int:

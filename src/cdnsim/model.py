@@ -11,7 +11,7 @@ made up front: each run reports signs of overload on its RunResult.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -128,9 +128,6 @@ class StrategySpec:
             raise ConfigError(f"strategy spec {text!r} has a non-numeric parameter") from None
         return cls(kind, param)
 
-    def with_param(self, param: float) -> "StrategySpec":
-        return replace(self, param=param)
-
     def __str__(self) -> str:
         if self.param is None:
             return self.kind
@@ -237,18 +234,21 @@ class CostMatrix:
     entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(float(c) for c in row) for row in self.entries)
-        )
-        if not self.entries or not self.entries[0]:
+        # The one place entries are converted to float and checked; each
+        # row is scanned by C-level builtins and walked only to name the
+        # first bad entry.
+        entries = tuple(tuple(map(float, row)) for row in self.entries)
+        object.__setattr__(self, "entries", entries)
+        if not entries or not entries[0]:
             raise ConfigError("cost matrix must be non-empty")
-        width = len(self.entries[0])
-        for i, row in enumerate(self.entries):
+        width = len(entries[0])
+        for i, row in enumerate(entries):
             if len(row) != width:
                 raise ConfigError(f"cost matrix row {i} has length {len(row)}, expected {width}")
-            for k, c in enumerate(row):
-                if not (math.isfinite(c) and c >= 0.0):
-                    raise ConfigError(f"cost[{i}][{k}] must be finite and >= 0, got {c}")
+            if not (all(map(math.isfinite, row)) and min(row) >= 0.0):
+                for k, c in enumerate(row):
+                    if not (math.isfinite(c) and c >= 0.0):
+                        raise ConfigError(f"cost[{i}][{k}] must be finite and >= 0, got {c}")
 
     @classmethod
     def from_rows(cls, rows) -> "CostMatrix":
@@ -303,19 +303,6 @@ class CacheAllocation:
     @property
     def cache_size(self) -> int:
         return len(self.server_files[0])
-
-
-@dataclass(frozen=True)
-class QueueSnapshot:
-    """Jobs in system per server (queued plus in service) at one instant."""
-
-    lengths: tuple[int, ...]
-    snapshot_time: float
-
-    def __post_init__(self) -> None:
-        for k, q in enumerate(self.lengths):
-            if q < 0:
-                raise ConfigError(f"queue length of server {k} is negative: {q}")
 
 
 # Thresholds of RunResult.overloaded, set on the acceptance suite's

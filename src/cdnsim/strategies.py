@@ -18,6 +18,7 @@ only when a random subset of cost-tied servers must be probed.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from .model import StrategySpec
@@ -104,15 +105,23 @@ def pss_map(
     return min_cost_map(user, candidates, costs, rng, prep=cost_prep, u=u)
 
 
-def wmc_prep(candidates: Sequence[int], costs, cost_weight: float) -> tuple[float, ...]:
-    """Static part of the wmc score: each candidate's weighted cost share,
-    in candidate order; all 0.0 when the candidate costs sum to zero."""
+def wmc_prep(
+    candidates: Sequence[int], costs, cost_weight: float
+) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Static part of the wmc score, as (shares, order).
+
+    shares holds each candidate's weighted cost share, in candidate order;
+    all 0.0 when the candidate costs sum to zero. order holds the candidate
+    positions sorted by share (a stable sort), the order wmc_map scans in.
+    """
     cost_total = 0.0
     for k in candidates:
         cost_total += costs[k]
     if cost_total > 0.0:
-        return tuple(cost_weight * (costs[k] / cost_total) for k in candidates)
-    return (0.0,) * len(candidates)
+        shares = tuple(cost_weight * (costs[k] / cost_total) for k in candidates)
+    else:
+        shares = (0.0,) * len(candidates)
+    return shares, tuple(sorted(range(len(shares)), key=shares.__getitem__))
 
 
 def wmc_map(
@@ -123,30 +132,44 @@ def wmc_map(
     cost_weight: float,
     rng,
     *,
-    prep: tuple[float, ...] | None = None,
+    prep: tuple[tuple[float, ...], tuple[int, ...]] | None = None,
 ) -> MappingDecision:
     """Weighted mixed cost: score each candidate by a convex combination of
     its cost share and queue share over the candidate set, take the argmin.
     A zero normalizer drops that term for every candidate. Polls every
-    candidate (len(candidates) queries)."""
+    candidate (len(candidates) queries).
+
+    Candidates are scored in ascending share order. A score is its share
+    plus a queue term >= 0, and rounding cannot take a float sum below
+    either addend, so every score is >= its share: once a share exceeds
+    the best score so far, neither that candidate nor any later one can
+    reach it, and the scan stops with the same argmin set a full scan
+    finds. Ties go back into candidate order before the pick.
+    """
     if prep is None:
         prep = wmc_prep(candidates, costs, cost_weight)
+    shares, order = prep
     queue_total = 0
     for k in candidates:
         queue_total += queues[k]
     load_weight = 1.0 - cost_weight
 
-    best = None
+    best = math.inf
     ties: list[int] = []
-    for k, score in zip(candidates, prep):
+    for pos in order:
+        score = shares[pos]
+        if score > best:
+            break
         if queue_total > 0:
-            score += load_weight * (queues[k] / queue_total)
-        if best is None or score < best:
+            score += load_weight * (queues[candidates[pos]] / queue_total)
+        if score < best:
             best = score
-            ties = [k]
+            ties = [pos]
         elif score == best:
-            ties.append(k)
-    return MappingDecision(_pick(ties, rng.random()), len(candidates))
+            ties.append(pos)
+    if len(ties) > 1:
+        ties.sort()
+    return MappingDecision(candidates[_pick(ties, rng.random())], len(candidates))
 
 
 def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
@@ -202,11 +225,12 @@ def mcs_map(
 def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: int, n_files: int, rng):
     """Compile a spec into a per-request callable fn(user, file, queues).
 
-    Static per-(user, file) work (cost argmins, wmc cost shares, mcs probe
-    sets) is memoized; the memoized path makes decisions draw-for-draw
-    identical to calling the plain strategy functions. That work depends
-    on the file only through its candidate tuple, so files with equal
-    tuples share one memo slot per user (at full replication, all do).
+    Static per-(user, file) work (cost argmins, wmc cost shares and scan
+    orders, mcs probe sets) is memoized; the memoized path makes decisions
+    draw-for-draw identical to calling the plain strategy functions. That
+    work depends on the file only through its candidate tuple, so files
+    with equal tuples share one memo slot per user (at full replication,
+    all do).
     """
     kind = spec.kind
 

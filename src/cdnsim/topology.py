@@ -38,11 +38,11 @@ def random_lattice_layout(n_users: int, n_servers: int, side: int, rng: Random) 
 
 
 def manhattan_cost_matrix(layout: LatticeLayout) -> CostMatrix:
-    """Delivery cost = |dx| + |dy| between user and server positions."""
-    rows = []
-    for ux, uy in layout.users:
-        rows.append(tuple(float(abs(ux - sx) + abs(uy - sy)) for sx, sy in layout.servers))
-    return CostMatrix(tuple(rows))
+    """Delivery cost = |dx| + |dy| between user and server positions
+    (integer distances; CostMatrix converts them to float)."""
+    return CostMatrix(tuple(
+        [abs(ux - sx) + abs(uy - sy) for sx, sy in layout.servers] for ux, uy in layout.users
+    ))
 
 
 def load_cost_matrix(path) -> CostMatrix:

@@ -1,5 +1,7 @@
 """Sweep driver, CSV formatting, and the command-line entry point."""
 
+from random import Random
+
 import pytest
 
 from cdnsim.cli import (
@@ -11,9 +13,10 @@ from cdnsim.cli import (
     main,
     run_sweep,
 )
-from cdnsim.engine import mix_seed, run_simulation
+from cdnsim.engine import mix_seed, run_simulation, substream
 from cdnsim.metrics import AggregateResult
 from cdnsim.model import ConfigError, StrategySpec, default_config
+from cdnsim.popularity import proportional_placement, zipf_profile
 
 
 SMALL = default_config(n_servers=12, n_users=12, n_files=10, cache_size=2,
@@ -213,6 +216,37 @@ def test_main_trace_and_placement_dump(tmp_path):
         "--out", str(out), "--trace", str(trace),
     ]) == 2
 
+
+
+def test_fixed_topology_trace_point_matches_the_sweep(tmp_path):
+    # --trace and --dump-placement must run the point on the sweep's frozen
+    # layout and placement, not redraw them from the run seed.
+    cfg_path = tmp_path / "sim.cfg"
+    _write_small_config(cfg_path)
+    base = ["--config", str(cfg_path), "--strategy", "mcs:2", "--runs", "1",
+            "--seed", "6", "--fixed-topology"]
+    plain = tmp_path / "plain.csv"
+    traced = tmp_path / "traced.csv"
+    placement = tmp_path / "p.txt"
+    assert main(base + ["--out", str(plain)]) == 0
+    assert main(base + ["--out", str(traced), "--trace", str(tmp_path / "t.csv"),
+                        "--dump-placement", str(placement)]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+
+    allocation = proportional_placement(
+        zipf_profile(SMALL.n_files, SMALL.zipf_beta), SMALL.n_servers, 2,
+        Random(mix_seed(6, "sweep-placement", 2)),
+    )
+    assert placement.read_text() == "".join(
+        f"{k}: {','.join(str(f) for f in sorted(files))}\n"
+        for k, files in enumerate(allocation.server_files)
+    )
+    # The run seed's own placement differs, so the check above has teeth.
+    redrawn = proportional_placement(
+        zipf_profile(SMALL.n_files, SMALL.zipf_beta), SMALL.n_servers, 2,
+        substream(mix_seed(6, 0, 0), "placement"),
+    )
+    assert redrawn != allocation
 
 def test_main_trace_is_strategy_insensitive_in_arrival_columns(tmp_path):
     cfg_path = tmp_path / "sim.cfg"

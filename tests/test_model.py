@@ -163,6 +163,8 @@ def test_cost_matrix_validation():
     m = CostMatrix.from_rows([[1, 2.5], [0, 4]])
     assert m.n_users == 2 and m.n_servers == 2
     assert m.row(1) == (0.0, 4.0)
+    assert all(type(c) is float for row in m.entries for c in row)
+    assert CostMatrix.from_rows([[-0.0, 1]]).row(0) == (0.0, 1.0)  # -0.0 is a zero cost
     with pytest.raises(ConfigError):
         CostMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ConfigError):
@@ -171,6 +173,16 @@ def test_cost_matrix_validation():
         CostMatrix.from_rows([[float("nan"), 1]])
     with pytest.raises(ConfigError):
         CostMatrix.from_rows([])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -0.5])
+def test_cost_matrix_names_the_first_bad_entry(bad):
+    # The bad entry sits mid-row, after a valid row and before another bad
+    # entry; the message must name its exact position and value.
+    rows = [[0.0, 1.0, 2.0, 5.0], [3, 4.0, bad, -1.0]]
+    with pytest.raises(ConfigError) as excinfo:
+        CostMatrix.from_rows(rows)
+    assert str(excinfo.value) == f"cost[1][2] must be finite and >= 0, got {bad}"
 
 
 def test_cache_allocation_validation():

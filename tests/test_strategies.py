@@ -1,12 +1,15 @@
 """Unit behavior of the five mapping strategies and their shared draw discipline."""
 
+import math
 from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cdnsim.model import StrategySpec
+from cdnsim.engine import run_simulation
+from cdnsim.model import StrategySpec, default_config
+from cdnsim.popularity import candidate_table, proportional_placement, zipf_profile
 from cdnsim.strategies import (
     MappingDecision,
     bind_strategy,
@@ -19,6 +22,7 @@ from cdnsim.strategies import (
     wmc_map,
     wmc_prep,
 )
+from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
 
 
 def test_min_cost_picks_cheapest_and_never_queries():
@@ -274,6 +278,117 @@ def test_wmc_prep_path_matches_reference_scoring(servers, weight, seed):
     assert wmc_map(0, candidates, costs, queues, weight, prep_rng, prep=prep) == expected
     assert ref_rng.getstate() == plain_rng.getstate() == prep_rng.getstate()
 
+
+# Each cost with its upper float neighbour: weighted shares of such pairs
+# often round to one float (11 and the next float up at weight 0.7 both
+# give 0.308), a tie the costs themselves do not have.
+_WMC_COSTS = (1.0, 2.0, 3.0, 5.0, 7.5, 11.0)
+_wmc_costs = st.sampled_from(
+    (0.0,) + _WMC_COSTS + tuple(math.nextafter(c, math.inf) for c in _WMC_COSTS))
+# nextafter(1, 0) leaves a load weight of 2**-53, so queue terms come out
+# near or below one ulp of the share they are added to.
+_wmc_weights = st.sampled_from(
+    (0.0, 0.25, 0.5, 0.7, 0.75, 0.9, 0.97, 1.0, math.nextafter(1.0, 0.0))) | st.floats(0, 1)
+
+
+@st.composite
+def _wmc_scan_cases(draw):
+    # (candidates, costs, queues) on up to 100 servers. Candidates are a
+    # shuffled subset, so candidate order is not server order; costs may all
+    # be equal; queues are all zero in about a fifth of the cases.
+    n_servers = draw(st.integers(1, 100))
+    shuffled = draw(st.permutations(range(n_servers)))
+    candidates = tuple(shuffled[: draw(st.integers(1, n_servers))])
+    if draw(st.booleans()):
+        costs = (draw(_wmc_costs),) * n_servers
+    else:
+        costs = tuple(draw(st.lists(_wmc_costs, min_size=n_servers, max_size=n_servers)))
+    if draw(st.integers(0, 4)) == 0:
+        queues = (0,) * n_servers
+    else:
+        queues = tuple(draw(st.lists(st.integers(0, 3) | st.just(30),
+                                     min_size=n_servers, max_size=n_servers)))
+    return candidates, costs, queues
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_wmc_scan_cases(), weight=_wmc_weights, seed=st.integers(0, 2**32))
+# Servers 0 and 1 differ in cost, but their shares round to one float and
+# both have empty queues: a tie only after rounding, listed out of order.
+@example(case=((2, 0, 1), (11.0, math.nextafter(11.0, math.inf), 3.0), (0, 0, 5)),
+         weight=0.7, seed=3)
+# Server 0's queue term (2**-53 / 31) is below half an ulp of its share, so
+# it ties server 1, whose queue is empty.
+@example(case=((1, 0, 2), (1.0, 1.0, 2.0), (1, 0, 30)),
+         weight=math.nextafter(1.0, 0.0), seed=5)
+# Server 1 is visited first (share 0.0625) but ties server 0 (share
+# 0.1875) once its queue term 0.125 is added: the tie must go back into
+# candidate order before the pick.
+@example(case=((0, 1, 2), (3.0, 1.0, 4.0), (0, 1, 3)), weight=0.5, seed=0)
+def test_wmc_early_exit_matches_full_scan(case, weight, seed):
+    candidates, costs, queues = case
+    prep = wmc_prep(candidates, costs, weight)
+    ref_rng, plain_rng, prep_rng = Random(seed), Random(seed), Random(seed)
+    expected = _wmc_reference(candidates, costs, queues, weight, ref_rng)
+    assert wmc_map(0, candidates, costs, queues, weight, plain_rng) == expected
+    assert wmc_map(0, candidates, costs, queues, weight, prep_rng, prep=prep) == expected
+    assert ref_rng.getstate() == plain_rng.getstate() == prep_rng.getstate()
+
+
+class _CountingQueues(list):
+    reads = 0
+
+    def __getitem__(self, k):
+        self.reads += 1
+        return super().__getitem__(k)
+
+
+def test_wmc_scan_stops_at_first_share_above_best():
+    # Costs 1..100 and one job everywhere: every queue term is 0.5 / 100,
+    # the best score is share(1) + 0.005, and share(c) = 0.5 c / 5050 first
+    # exceeds it at c = 52. The queue total reads all 100 queues; the scan
+    # reads the 51 it scores.
+    candidates = tuple(range(100))
+    costs = tuple(float(c) for c in range(1, 101))
+    queues = _CountingQueues([1] * 100)
+    rng, ref_rng = Random(4), Random(4)
+    decision = wmc_map(0, candidates, costs, queues, 0.5, rng)
+    assert queues.reads == 100 + 51
+    assert decision == _wmc_reference(candidates, costs, [1] * 100, 0.5, ref_rng)
+    assert decision.server == 0 and decision.queries_used == 100
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_bind_strategy_wmc_at_full_replication_matches_plain_calls():
+    # Every server holds every file, so all files share one candidate tuple
+    # and one memo slot per user. Queue states come from a short M=70 run.
+    cfg = default_config(cache_size=70, horizon_events=3_000)
+    rng = Random(70)
+    costs = manhattan_cost_matrix(random_lattice_layout(
+        cfg.n_users, cfg.n_servers, cfg.lattice_side, rng))
+    allocation = proportional_placement(
+        zipf_profile(cfg.n_files, cfg.zipf_beta), cfg.n_servers, 70, rng)
+    cands = candidate_table(allocation)
+    assert len(set(cands)) == 1 and len(cands[0]) == 100
+
+    states = []
+    run_simulation(
+        cfg, "wmc:0.5", 9, cost_matrix=costs, allocation=allocation,
+        decision_hook=lambda t, user, fidx, c, queues, d: states.append(
+            (user, fidx, tuple(queues))),
+    )
+    assert len(states) == 3_000
+    assert sum(1 for _, _, q in states if sum(q) > 0) > 2_900
+
+    rows = [list(r) for r in costs.entries]
+    for weight in (0.25, 0.5, 0.75):
+        bound_rng, plain_rng = Random(weight), Random(weight)
+        decide = bind_strategy(StrategySpec("wmc", weight), rows, cands,
+                               cfg.n_users, cfg.n_files, bound_rng)
+        for user, fidx, queues in states:
+            assert decide(user, fidx, queues) == wmc_map(
+                user, cands[fidx], rows[user], queues, weight, plain_rng)
+        assert bound_rng.getstate() == plain_rng.getstate()
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())

@@ -24,6 +24,7 @@ def test_manhattan_hand_example():
     matrix = manhattan_cost_matrix(layout)
     assert matrix.row(0) == (0.0, 5.0, 4.0)
     assert matrix.row(1) == (8.0, 3.0, 4.0)
+    assert all(type(c) is float for row in matrix.entries for c in row)
 
 
 def test_layout_rejects_out_of_bounds_points():
