@@ -10,6 +10,10 @@ All randomness of a run derives from one 64-bit run seed, split into
 fixed named sub-streams (layout, placement, arrivals, files, service,
 strategy) so that two runs with the same seed see identical arrival,
 file, and service sequences regardless of the strategy under test.
+
+A run is observed through one hook, called at every arrival after the
+strategy has chosen and before the job joins its server. The trace file
+is written by such a hook.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ import hashlib
 from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
+from itertools import accumulate
 from random import Random
 
 from .model import (
     ConfigError,
     RunResult,
-    ServiceSpec,
     SimConfig,
     StrategySpec,
     validate_config,
@@ -58,31 +62,18 @@ def substream(run_seed: int, label: str) -> Random:
     return Random(mix_seed(run_seed, label))
 
 
-def next_arrival(rates, rng: Random, *, cum: list[float] | None = None) -> tuple[float, int]:
-    """Time to the next request of the superposed process and its user.
+def _trace_hook(trace, decision_hook):
+    # The decision_hook behind run_simulation's trace: one line per arrival,
+    # then the caller's own hook, if any.
+    write = trace.write
 
-    The gap is exponential at the total rate; the user is chosen with
-    probability proportional to its own rate, independently of the gap.
-    """
-    if cum is None:
-        cum = []
-        acc = 0.0
-        for r in rates:
-            acc += r
-            cum.append(acc)
-    total = cum[-1]
-    gap = rng.expovariate(total)
-    user = bisect_right(cum, rng.random() * total)
-    if user >= len(cum):
-        user = len(cum) - 1
-    return gap, user
+    def hook(t, user, file_index, candidates, queues, decision):
+        k = decision.server
+        write(f"{t!r},{user},{file_index},{k},{queues[k]},{decision.queries_used}\n")
+        if decision_hook is not None:
+            decision_hook(t, user, file_index, candidates, queues, decision)
 
-
-def sample_service(service: ServiceSpec, rng: Random) -> float:
-    """One service duration; constant service consumes no randomness."""
-    if service.kind == "exp":
-        return rng.expovariate(service.value)
-    return service.value
+    return hook
 
 
 def run_simulation(
@@ -94,17 +85,17 @@ def run_simulation(
     allocation=None,
     trace=None,
     decision_hook=None,
-    debug_checks: bool = False,
 ) -> RunResult:
     """Simulate exactly cfg.horizon_events arrivals and return the averages
     over the counted window (arrivals after the warmup, followed to their
     departures).
 
     cost_matrix and allocation are drawn from the run seed unless injected.
-    trace, when given, receives one text line per arrival:
-    time,user,file,server,queue_len_seen,queries. decision_hook(time, user,
-    file, candidates, queues, decision) is called on every assignment.
-    debug_checks turns on per-event structural assertions (slow).
+    decision_hook(time, user, file, candidates, queues, decision) is called
+    on every arrival once the strategy has chosen, before the job joins, so
+    queues[decision.server] excludes it. trace, when given, receives one
+    text line per arrival from that same call, before decision_hook:
+    time,user,file,server,queue_len_seen,queries.
     """
     validate_config(cfg)
     if isinstance(strategy, str):
@@ -143,11 +134,12 @@ def run_simulation(
         strategy, rows, cands_by_file, n_users, n_files, substream(run_seed, "strategy")
     )
 
-    cum_rates: list[float] = []
-    acc = 0.0
-    for r in cfg.arrival_rates:
-        acc += r
-        cum_rates.append(acc)
+    hook = decision_hook if trace is None else _trace_hook(trace, decision_hook)
+
+    # Neither bisect below can return len(cum): random() <= 1 - 2**-53, so
+    # u * total rounds below the last rate sum, and the last file's
+    # cumulative probability is pinned to 1.0.
+    cum_rates = list(accumulate(cfg.arrival_rates))
     total_rate = cum_rates[-1]
     cum_probs = profile.cumulative()
 
@@ -193,8 +185,6 @@ def run_simulation(
     svc_exp = svc_rng.expovariate
     service_is_exp = cfg.service.kind == "exp"
     svc_param = cfg.service.value
-    last_file = n_files - 1
-    last_user = n_users - 1
     INF = float("inf")
     # Window tag carried by every job: warmup jobs are not counted; counted
     # jobs belong to the early or the late half of the counted window.
@@ -202,11 +192,8 @@ def run_simulation(
 
     gap = arr_exp(total_rate)
     next_user = bis(cum_rates, arr_u() * total_rate)
-    if next_user > last_user:
-        next_user = last_user
     next_t = gap
     arrivals_done = 0
-    prev_event_t = 0.0
 
     while True:
         if dep_heap and (arrivals_done >= horizon or dep_heap[0][0] <= next_t):
@@ -225,10 +212,6 @@ def run_simulation(
                 in_service[k] = None
             njobs[k] -= 1
             njobs_total -= 1
-            if debug_checks:
-                assert tdep >= prev_event_t
-                prev_event_t = tdep
-                _check_state(k, pending, in_service, njobs)
             if counted:
                 w = tdep - arrived_at
                 sum_wait += w
@@ -248,8 +231,6 @@ def run_simulation(
                 t_last = t
             x = file_u()
             fidx = bis(cum_probs, x)
-            if fidx > last_file:
-                fidx = last_file
             svc = svc_exp(svc_param) if service_is_exp else svc_param
             decision = decide(next_user, fidx, njobs)
             k = decision.server
@@ -264,18 +245,8 @@ def run_simulation(
                 sum_cost += rows[next_user][k]
                 sum_queries += decision.queries_used
                 counted_outstanding += 1
-            if trace is not None:
-                trace.write(
-                    f"{t!r},{next_user},{fidx},{k},{njobs[k]},{decision.queries_used}\n"
-                )
-            if decision_hook is not None:
-                decision_hook(t, next_user, fidx, cands_by_file[fidx], njobs, decision)
-            if debug_checks:
-                assert t >= prev_event_t
-                prev_event_t = t
-                cands = cands_by_file[fidx]
-                assert k in cands, f"strategy chose server {k} outside candidates {cands}"
-                assert decision.queries_used <= len(cands)
+            if hook is not None:
+                hook(t, next_user, fidx, cands_by_file[fidx], njobs, decision)
             if in_service[k] is None:
                 in_service[k] = (t, counted)
                 seq += 1
@@ -284,14 +255,10 @@ def run_simulation(
                 pending[k].append((t, counted, svc))
             njobs[k] += 1
             njobs_total += 1
-            if debug_checks:
-                _check_state(k, pending, in_service, njobs)
             arrivals_done += 1
             if arrivals_done < horizon:
                 gap = arr_exp(total_rate)
                 next_user = bis(cum_rates, arr_u() * total_rate)
-                if next_user > last_user:
-                    next_user = last_user
                 next_t = t + gap
             else:
                 next_t = INF
@@ -319,13 +286,3 @@ def run_simulation(
         seed_used=run_seed,
         wait_growth=wait_growth,
     )
-
-
-def _check_state(k, pending, in_service, njobs) -> None:
-    # Structural invariants around server k after an event touched it.
-    busy = in_service[k] is not None
-    assert njobs[k] == len(pending[k]) + (1 if busy else 0)
-    assert njobs[k] >= 0
-    assert busy or not pending[k], f"server {k} idles with a non-empty queue"
-    if busy and pending[k]:
-        assert in_service[k][0] <= pending[k][0][0], f"server {k} violates FIFO order"

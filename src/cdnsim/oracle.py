@@ -3,7 +3,9 @@
 Closed-form queueing results (M/M/1 sojourn, the power-of-d-choices mean
 queue) validate the event engine, and a brute-force search over all
 feasible assignment sequences of a tiny instance bounds every mapping
-strategy from below on a fixed trace. Nothing here imports the engine.
+strategy from below on a fixed trace. Strategies are replayed through
+strategies.bind_strategy, the same compiled decision path the engine runs;
+nothing here imports the engine itself.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Sequence
 
 from .model import CacheAllocation, ConfigError, CostMatrix, ServiceSpec, StrategySpec
 from .popularity import candidate_table
-from . import strategies
+from .strategies import bind_strategy
 
 
 def mm1_mean_sojourn(arrival_rate: float, service_rate: float) -> float:
@@ -183,12 +185,14 @@ def replay_strategy(
     """Run a mapping strategy over the instance's trace and score it with
     the same objective and service samples as the exhaustive search.
 
-    The strategy sees the true jobs-in-system vector at each arrival, so
-    its decisions may differ between sample paths.
+    The strategy is bound once with bind_strategy, as in the engine, and
+    sees the true jobs-in-system vector at each arrival, so its decisions
+    may differ between sample paths.
     """
     if isinstance(strategy, str):
         strategy = StrategySpec.parse(strategy)
-    cands = inst.request_candidates()
+    decide = bind_strategy(strategy, inst.cost.entries, candidate_table(inst.allocation),
+                           inst.cost.n_users, inst.allocation.n_files, rng)
     n_servers = inst.cost.n_servers
     objective = 0.0
     for services in sample_paths:
@@ -199,8 +203,7 @@ def replay_strategy(
         for j in range(inst.n_requests):
             t = inst.arrival_times[j]
             queues = [sum(1 for c in completion[k] if c > t) for k in range(n_servers)]
-            decision = _dispatch(strategy, inst.users[j], cands[j],
-                                 inst.cost.entries[inst.users[j]], queues, rng)
+            decision = decide(inst.users[j], inst.files[j], queues)
             k = decision.server
             start = free_at[k] if free_at[k] > t else t
             done = start + services[j]
@@ -213,18 +216,6 @@ def replay_strategy(
             cost_weight * (total_cost / n) + (1.0 - cost_weight) * (total_sojourn / n)
         )
     return objective / len(sample_paths)
-
-
-def _dispatch(spec: StrategySpec, user, cands, costs, queues, rng):
-    if spec.kind == "mincost":
-        return strategies.min_cost_map(user, cands, costs, rng)
-    if spec.kind == "minqueue":
-        return strategies.min_queue_map(user, cands, queues, rng)
-    if spec.kind == "pss":
-        return strategies.pss_map(user, cands, costs, queues, spec.param, rng)
-    if spec.kind == "wmc":
-        return strategies.wmc_map(user, cands, costs, queues, spec.param, rng)
-    return strategies.mcs_map(user, cands, costs, queues, spec.param, rng)
 
 
 def random_tiny_instance(rng: Random, *, n_requests: int = 6) -> TinyInstance:

@@ -1,8 +1,8 @@
-"""File popularity profiles and popularity-proportional cache placement."""
+"""File popularity profiles, popularity-proportional cache placement, and
+the candidate servers of each file."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from random import Random
 
@@ -47,13 +47,6 @@ def zipf_profile(n_files: int, beta: float) -> PopularityProfile:
     weights = [(i + 1) ** -beta for i in range(n_files)]
     total = sum(weights)
     return PopularityProfile(tuple(w / total for w in weights))
-
-
-def sample_file(profile: PopularityProfile, rng: Random, cum: list[float] | None = None) -> int:
-    """Draw one file index i.i.d. from the profile (one uniform per call)."""
-    if cum is None:
-        cum = profile.cumulative()
-    return bisect_right(cum, rng.random())
 
 
 def _sample_without_replacement(weights: list[float], cache_size: int, rng: Random) -> list[int]:
@@ -122,20 +115,8 @@ def proportional_placement(
     return CacheAllocation.from_sets(caches, n_files)
 
 
-def candidate_set(allocation: CacheAllocation, file_index: int) -> tuple[int, ...]:
-    """Servers holding the file, ascending; never empty for a valid allocation."""
-    if not 0 <= file_index < allocation.n_files:
-        raise ConfigError(f"file index {file_index} outside library of {allocation.n_files}")
-    found = tuple(
-        k for k, cache in enumerate(allocation.server_files) if file_index in cache
-    )
-    if not found:
-        raise ConfigError(f"file {file_index} is cached nowhere")
-    return found
-
-
 def candidate_table(allocation: CacheAllocation) -> list[tuple[int, ...]]:
-    """candidate_set for every file at once; built once per run."""
+    """Servers holding each file, ascending, indexed by file; built once per run."""
     table: list[list[int]] = [[] for _ in range(allocation.n_files)]
     for k, cache in enumerate(allocation.server_files):
         for f in cache:

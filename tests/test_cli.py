@@ -1,9 +1,13 @@
-"""Sweep driver, CSV formatting, and the command-line entry point."""
+"""Sweep driver, CSV formatting, the command-line entry point, and the
+package's top-level API."""
 
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import cdnsim
 from cdnsim.cli import (
     CSV_HEADER,
     SweepSpec,
@@ -300,3 +304,18 @@ def test_oracle_check_subcommand(capsys):
     assert main(["oracle-check", "--instances", "3", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert out.count("ok") == 3
+
+
+def test_package_exports_exactly_the_documented_api(capsys):
+    # README's "Python API" section is the contract: its name list must equal
+    # cdnsim.__all__, and its snippet must run as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python API", 1)[1].split("\n## ", 1)[0]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    listed = re.search(r"exports these names and no others:(.*?)Everything else", section, re.S)
+    documented = re.findall(r"`(\w+)`", listed.group(1))
+    assert sorted(cdnsim.__all__) == sorted(documented)
+    for name in cdnsim.__all__:
+        assert getattr(cdnsim, name) is not None
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3

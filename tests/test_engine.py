@@ -2,11 +2,16 @@
 
 import io
 import math
+from bisect import bisect_right
+from collections import deque
+from itertools import accumulate
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdnsim.engine import mix_seed, next_arrival, run_simulation, sample_service, substream
+from cdnsim import engine
+from cdnsim.engine import mix_seed, run_simulation, substream
 from cdnsim.model import (
     OVERLOAD_MIN_EVENTS,
     CacheAllocation,
@@ -19,6 +24,7 @@ from cdnsim.model import (
     uniform_rates,
 )
 from cdnsim.oracle import mm1_mean_sojourn
+from cdnsim.popularity import zipf_profile
 from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
 
 
@@ -46,39 +52,66 @@ def test_substreams_are_reproducible_and_mutually_distinct():
 
 
 def test_next_arrival_gap_mean_and_user_split():
-    rates = (1.0, 3.0)
-    rng = Random(12)
-    n = 20000
-    gaps = 0.0
-    picks = [0, 0]
-    for _ in range(n):
-        gap, user = next_arrival(rates, rng)
-        gaps += gap
-        picks[user] += 1
-    assert abs(gaps / n - 0.25) < 0.01
-    assert abs(picks[1] / n - 0.75) < 0.02
-
-
-def test_next_arrival_accepts_precomputed_cumulative():
-    cum = [1.0, 4.0]
-    a = next_arrival((1.0, 3.0), Random(5))
-    b = next_arrival((1.0, 3.0), Random(5), cum=cum)
-    assert a == b
+    cfg = SimConfig(n_servers=2, n_users=2, n_files=1, cache_size=1,
+                    arrival_rates=(1.0, 3.0), service=ServiceSpec("exp", 4.0),
+                    horizon_events=20_000, lattice_side=5)
+    seen = []
+    run_simulation(cfg, "minqueue", 12,
+                   decision_hook=lambda t, user, *_: seen.append((t, user)))
+    n = len(seen)
+    assert n == 20_000
+    assert abs(seen[-1][0] / n - 0.25) < 0.01
+    assert abs(sum(user for _, user in seen) / n - 0.75) < 0.02
 
 
 def test_sample_service_exponential_mean():
-    rng = Random(4)
-    spec = ServiceSpec("exp", 2.0)
-    n = 20000
-    total = sum(sample_service(spec, rng) for _ in range(n))
-    assert abs(total / n - 0.5) < 0.02
+    # At load 0.0005 a job almost never queues: the M/M/1 sojourn
+    # 1 / (2 - 0.001) is the service mean 0.5 to within 3e-4.
+    cfg = _single_queue_config(horizon=20_000, service="exp:2.0", rate=0.001)
+    result = run_simulation(cfg, "mincost", 4, cost_matrix=_UNIT_COST, allocation=_UNIT_ALLOC)
+    assert abs(result.avg_wait - 0.5) < 0.02
 
 
-def test_constant_service_consumes_no_randomness():
-    rng = Random(4)
-    before = rng.getstate()
-    assert sample_service(ServiceSpec("const", 1.5), rng) == 1.5
-    assert rng.getstate() == before
+def test_constant_service_consumes_no_randomness(monkeypatch):
+    draws = []
+
+    class CountingRandom(Random):
+        def random(self):
+            draws.append(1)
+            return super().random()
+
+    plain = engine.substream
+    monkeypatch.setattr(
+        engine, "substream",
+        lambda seed, label: CountingRandom(mix_seed(seed, label)) if label == "service"
+        else plain(seed, label),
+    )
+    const = run_simulation(_single_queue_config(horizon=500, service="const:1.5"), "mincost", 4,
+                           cost_matrix=_UNIT_COST, allocation=_UNIT_ALLOC)
+    assert const.avg_wait >= 1.5
+    assert draws == []
+    run_simulation(_single_queue_config(horizon=500, service="exp:1.0"), "mincost", 4,
+                   cost_matrix=_UNIT_COST, allocation=_UNIT_ALLOC)
+    assert len(draws) == 500
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rates=st.lists(st.floats(1e-9, 1e9, allow_nan=False, allow_infinity=False),
+                   min_size=1, max_size=200),
+    n_files=st.integers(1, 2000),
+    beta=st.floats(0.0, 10.0, allow_nan=False),
+)
+def test_inverse_transform_draws_stay_in_range(rates, n_files, beta):
+    # The engine draws a user by bisecting u * total into the cumulative
+    # rates, and a file by bisecting u into the cumulative probabilities,
+    # u = random() <= 1 - 2**-53, with no clamp after either.
+    top = 1.0 - 2.0**-53
+    cum_rates = list(accumulate(rates))
+    assert bisect_right(cum_rates, top * cum_rates[-1]) < len(cum_rates)
+    cum_probs = zipf_profile(n_files, beta).cumulative()
+    assert cum_probs[-1] == 1.0
+    assert bisect_right(cum_probs, top) < len(cum_probs)
 
 
 def _single_queue_config(horizon, service="const:2.0", rate=0.5, warmup=0):
@@ -256,7 +289,7 @@ def test_trace_lines_agree_with_decision_hook():
     def hook(t, user, fidx, cands, queues, decision):
         seen.append((t, user, fidx, tuple(cands), queues[decision.server], decision))
 
-    run_simulation(cfg, "mcs:2", 8, trace=buf, decision_hook=hook, debug_checks=True)
+    run_simulation(cfg, "mcs:2", 8, trace=buf, decision_hook=hook)
     lines = buf.getvalue().splitlines()
     assert len(lines) == len(seen) == 500
     prev_t = 0.0
@@ -306,11 +339,55 @@ def test_strategy_accepts_spec_objects_and_strings():
     assert a == b
 
 
-def test_debug_checks_pass_on_a_busy_system():
-    cfg = default_config(n_servers=5, n_users=5, n_files=10, cache_size=3,
-                         horizon_events=3_000)
-    for strat in ("minqueue", "pss:0.5", "wmc:0.3", "mcs:2"):
-        run_simulation(cfg, strat, 14, debug_checks=True)
+class ShadowFifo:
+    """decision_hook that replays every assignment on its own FIFO servers
+    and checks the engine against them at each arrival."""
+
+    def __init__(self, cfg, run_seed):
+        if cfg.service.kind == "exp":
+            draw = substream(run_seed, "service").expovariate
+            self.service = lambda: draw(cfg.service.value)
+        else:
+            self.service = lambda: cfg.service.value
+        self.warmup = cfg.warmup_events
+        self.completions = [deque() for _ in range(cfg.n_servers)]
+        self.free_at = [0.0] * cfg.n_servers
+        self.t = 0.0
+        self.arrivals = 0
+        self.sojourns = []
+        self.queries = 0
+
+    def __call__(self, t, user, fidx, cands, queues, decision):
+        assert t >= self.t
+        self.t = t
+        for k, done in enumerate(self.completions):
+            while done and done[0] <= t:
+                done.popleft()
+            assert queues[k] == len(done), f"server {k} at t={t!r}"
+        k = decision.server
+        assert k in cands
+        assert decision.queries_used <= len(cands)
+        finish = max(t, self.free_at[k]) + self.service()
+        self.free_at[k] = finish
+        self.completions[k].append(finish)
+        if self.arrivals >= self.warmup:
+            self.sojourns.append(finish - t)
+            self.queries += decision.queries_used
+        self.arrivals += 1
+
+
+def test_shadow_fifo_agrees_with_engine_for_every_family():
+    for service in ("exp:1", "const:0.9"):
+        cfg = default_config(n_servers=5, n_users=5, n_files=10, cache_size=3,
+                             horizon_events=3_000, warmup_events=300,
+                             service=ServiceSpec.parse(service))
+        for strat in ("mincost", "minqueue", "pss:0.5", "wmc:0.3", "mcs:2"):
+            shadow = ShadowFifo(cfg, 14)
+            result = run_simulation(cfg, strat, 14, decision_hook=shadow)
+            assert shadow.arrivals == 3_000
+            n = len(shadow.sojourns)
+            assert result.avg_wait == pytest.approx(math.fsum(shadow.sojourns) / n, rel=1e-12)
+            assert result.avg_queries == shadow.queries / n
 
 
 def test_average_queries_per_strategy_family():

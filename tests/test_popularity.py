@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from cdnsim.model import CacheAllocation, ConfigError
+from cdnsim.engine import run_simulation
+from cdnsim.model import ConfigError, ServiceSpec, SimConfig
 from cdnsim.popularity import (
     PopularityProfile,
     _sample_without_replacement,
-    candidate_set,
     candidate_table,
     proportional_placement,
-    sample_file,
     zipf_profile,
 )
 
@@ -58,27 +57,31 @@ def test_zipf_profile_large_library():
     assert probs[0] > probs[-1]
 
 
+def _engine_file_counts(n_files, beta, n, seed):
+    # How often the engine drew each file, recorded by a decision_hook.
+    cfg = SimConfig(n_servers=1, n_users=1, n_files=n_files, cache_size=n_files,
+                    arrival_rates=(0.5,), service=ServiceSpec("exp", 1.0),
+                    horizon_events=n, zipf_beta=beta, lattice_side=2)
+    counts = [0] * n_files
+
+    def hook(t, user, fidx, cands, queues, decision):
+        counts[fidx] += 1
+
+    run_simulation(cfg, "mincost", seed, decision_hook=hook)
+    return counts
+
+
 def test_sample_file_uniform_frequencies():
-    rng = Random(5)
-    profile = zipf_profile(4, 0.0)
-    cum = profile.cumulative()
-    counts = [0, 0, 0, 0]
     n = 10_000
-    for _ in range(n):
-        counts[sample_file(profile, rng, cum)] += 1
+    counts = _engine_file_counts(4, 0.0, n, 5)
     for c in counts:
         assert abs(c / n - 0.25) < 0.01
 
 
 def test_sample_file_matches_skewed_profile():
-    rng = Random(7)
-    profile = zipf_profile(10, 1.0)
     n = 100_000
-    counts = [0] * 10
-    cum = profile.cumulative()
-    for _ in range(n):
-        counts[sample_file(profile, rng, cum)] += 1
-    expected = [p * n for p in profile.probs]
+    counts = _engine_file_counts(10, 1.0, n, 7)
+    expected = [p * n for p in zipf_profile(10, 1.0).probs]
     _, pvalue = stats.chisquare(counts, expected)
     assert pvalue > 0.01
 
@@ -220,25 +223,14 @@ def test_candidate_set_matches_membership_scan():
         cache_size = rng.randint((n_files + n_servers - 1) // n_servers, n_files)
         alloc = proportional_placement(zipf_profile(n_files, 0.7), n_servers, cache_size, rng)
         table = candidate_table(alloc)
-        for f in range(n_files):
-            direct = candidate_set(alloc, f)
-            assert direct == table[f]
-            assert direct == tuple(
+        assert len(table) == n_files
+        for f, cands in enumerate(table):
+            assert cands == tuple(
                 k for k in range(n_servers) if f in alloc.server_files[k]
             )
-            assert direct  # never empty
-            assert list(direct) == sorted(direct)
-
-
-def test_candidate_set_rejects_unknown_file():
-    alloc = CacheAllocation.from_sets([{0, 1}], n_files=2)
-    with pytest.raises(ConfigError):
-        candidate_set(alloc, 2)
-    with pytest.raises(ConfigError):
-        candidate_set(alloc, -1)
+            assert cands  # never empty
 
 
 def test_full_replication_candidates_are_all_servers():
     alloc = proportional_placement(zipf_profile(5, 0.0), 4, 5, Random(1))
-    for f in range(5):
-        assert candidate_set(alloc, f) == (0, 1, 2, 3)
+    assert candidate_table(alloc) == [(0, 1, 2, 3)] * 5
