@@ -379,6 +379,8 @@ def _run_traced_point(cfg, sweep, matrix, args):
 
 def _main_oracle_check(argv) -> int:
     # Not advertised: brute-force dominance self-test on random tiny instances.
+    # Prints the oracle and replayed policy values in repr, one line per
+    # (instance, weight, policy), so two versions' replays compare as bytes.
     from .oracle import exhaustive_objective_search, random_tiny_instance, replay_strategy, _service_samples
 
     parser = argparse.ArgumentParser(prog="simulate oracle-check")
@@ -398,10 +400,10 @@ def _main_oracle_check(argv) -> int:
             _, best = exhaustive_objective_search(inst, w)
             for name in policies:
                 val = replay_strategy(inst, name, w, paths, Random(rng.randrange(2**32)))
-                ok = best <= val + 1e-9
-                if not ok:
-                    failures += 1
-                    print(f"instance {i} w={w} {name}: oracle {best:.6f} > policy {val:.6f} FAIL")
+                dominated = best <= val + 1e-9
+                failures += not dominated
+                print(f"instance {i} w={w} {name}: oracle {best!r} policy {val!r}"
+                      + ("" if dominated else " FAIL"))
         print(f"instance {i}: ok")
     if failures:
         print(f"{failures} dominance violations", file=sys.stderr)

@@ -306,6 +306,20 @@ def test_oracle_check_subcommand(capsys):
     assert out.count("ok") == 3
 
 
+def test_oracle_check_prints_every_replayed_value(capsys):
+    # One line per (instance, weight, policy) with both values in repr, so
+    # two versions' strategy replays can be compared byte for byte.
+    assert main(["oracle-check", "--instances", "2", "--seed", "4",
+                 "--cost-weights", "0,1"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if " policy " in ln]
+    assert len(lines) == 2 * 2 * 5
+    for line in lines:
+        _, oracle, _, policy = line.split(": ")[1].split()
+        assert float(oracle) <= float(policy) + 1e-9
+        assert repr(float(oracle)) == oracle and repr(float(policy)) == policy
+    assert lines[0].startswith("instance 0 w=0.0 mincost: oracle ")
+
+
 def test_package_exports_exactly_the_documented_api(capsys):
     # README's "Python API" section is the contract: its name list must equal
     # cdnsim.__all__, and its snippet must run as written.
