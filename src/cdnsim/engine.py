@@ -124,7 +124,7 @@ def run_simulation(
     elif allocation.n_servers != n_servers or allocation.n_files != n_files:
         raise ConfigError("allocation does not match the configured system size")
 
-    rows = [list(r) for r in cost_matrix.entries]
+    rows = cost_matrix.entries
     cands_by_file = candidate_table(allocation)
 
     arr_rng = substream(run_seed, "arrivals")

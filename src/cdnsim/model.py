@@ -262,9 +262,6 @@ class CostMatrix:
     def n_servers(self) -> int:
         return len(self.entries[0])
 
-    def row(self, user: int) -> tuple[float, ...]:
-        return self.entries[user]
-
 
 @dataclass(frozen=True)
 class CacheAllocation:

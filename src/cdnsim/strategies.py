@@ -1,19 +1,22 @@
 """The five request-mapping strategies.
 
-Every strategy sees the same inputs: the requesting user, the ordered
-candidate servers holding the file, the user's cost row, the current
-jobs-in-system vector, and an exclusive random stream. Each returns a
-MappingDecision naming the chosen server and how many queue-state
-queries the choice needed.
+Each family is a pair of functions. prep(candidates, costs, param) builds
+the static part of a decision from the requesting user's cost row, which
+is fixed within a run. choose(candidates, static, queues, param, rng)
+makes the decision from that static part and the current jobs-in-system
+vector, and returns a MappingDecision naming the chosen server and how
+many queue-state queries the choice needed. bind_strategy is the only
+entry point: it runs prep once per (user, memo slot) and choose on every
+request.
 
 Randomness discipline: every decision consumes exactly one uniform from
 the stream for its final pick (argmin ties are broken uniformly; with a
-unique argmin the draw is still burned). pss_map reuses its single
-branch uniform, rescaled back to [0, 1), as that pick draw. Under a
-shared seed this makes pss at switch probability 0 replay mincost
-draw-for-draw and at 1 replay minqueue, and mcs with probe count >=
-len(candidates) replay minqueue. Only mcs can consume extra draws, and
-only when a random subset of cost-tied servers must be probed.
+unique argmin the draw is still burned). pss reuses its single branch
+uniform, rescaled back to [0, 1), as that pick draw. Under a shared seed
+this makes pss at switch probability 0 replay mincost draw-for-draw and
+at 1 replay minqueue, and mcs with probe count >= len(candidates) replay
+minqueue. Only mcs can consume extra draws, and only when a random
+subset of cost-tied servers must be probed.
 """
 
 from __future__ import annotations
@@ -49,60 +52,37 @@ def _argmin_set(candidates: Sequence[int], values) -> list[int]:
     return ties
 
 
-def min_cost_prep(candidates: Sequence[int], costs) -> tuple[int, ...]:
-    """Cost-argmin set, precomputable because costs are static within a run."""
+def min_cost_prep(candidates: Sequence[int], costs, param) -> tuple[int, ...]:
+    """Cost-argmin set, the static part of mincost and of pss."""
     return tuple(_argmin_set(candidates, costs))
 
 
-def min_cost_map(
-    user: int,
-    candidates: Sequence[int],
-    costs,
-    rng,
-    *,
-    prep: tuple[int, ...] | None = None,
-    u: float | None = None,
-) -> MappingDecision:
+def min_cost_choose(candidates, cost_ties, queues, param, rng) -> MappingDecision:
     """Cheapest candidate; never inspects queues (0 queries)."""
-    ties = prep if prep is not None else _argmin_set(candidates, costs)
-    if u is None:
-        u = rng.random()
-    return MappingDecision(_pick(ties, u), 0)
+    return MappingDecision(_pick(cost_ties, rng.random()), 0)
 
 
-def min_queue_map(
-    user: int,
-    candidates: Sequence[int],
-    queues,
-    rng,
-    *,
-    u: float | None = None,
-) -> MappingDecision:
+def min_queue_prep(candidates: Sequence[int], costs, param) -> tuple[()]:
+    """minqueue reads no costs, so it has no static part."""
+    return ()
+
+
+def min_queue_choose(candidates, static, queues, param, rng) -> MappingDecision:
     """Least-loaded candidate; polls every candidate (len(candidates) queries)."""
     ties = _argmin_set(candidates, queues)
-    if u is None:
-        u = rng.random()
-    return MappingDecision(_pick(ties, u), len(candidates))
+    return MappingDecision(_pick(ties, rng.random()), len(candidates))
 
 
-def pss_map(
-    user: int,
-    candidates: Sequence[int],
-    costs,
-    queues,
-    switch_prob: float,
-    rng,
-    *,
-    cost_prep: tuple[int, ...] | None = None,
-) -> MappingDecision:
+def pss_choose(candidates, cost_ties, queues, switch_prob, rng) -> MappingDecision:
     """Probabilistic switch: with probability switch_prob go least-loaded,
     otherwise cheapest. One uniform decides the branch and, rescaled to
-    its conditional distribution, breaks the delegated tie."""
+    its conditional distribution, breaks the tie of the chosen branch."""
     x = rng.random()
     if switch_prob > 0.0 and x <= switch_prob:
-        return min_queue_map(user, candidates, queues, rng, u=x / switch_prob)
+        ties = _argmin_set(candidates, queues)
+        return MappingDecision(_pick(ties, x / switch_prob), len(candidates))
     u = x if switch_prob >= 1.0 else (x - switch_prob) / (1.0 - switch_prob)
-    return min_cost_map(user, candidates, costs, rng, prep=cost_prep, u=u)
+    return MappingDecision(_pick(cost_ties, u), 0)
 
 
 def wmc_prep(
@@ -112,7 +92,7 @@ def wmc_prep(
 
     shares holds each candidate's weighted cost share, in candidate order;
     all 0.0 when the candidate costs sum to zero. order holds the candidate
-    positions sorted by share (a stable sort), the order wmc_map scans in.
+    positions sorted by share (a stable sort), the order wmc_choose scans in.
     """
     cost_total = 0.0
     for k in candidates:
@@ -124,16 +104,7 @@ def wmc_prep(
     return shares, tuple(sorted(range(len(shares)), key=shares.__getitem__))
 
 
-def wmc_map(
-    user: int,
-    candidates: Sequence[int],
-    costs,
-    queues,
-    cost_weight: float,
-    rng,
-    *,
-    prep: tuple[tuple[float, ...], tuple[int, ...]] | None = None,
-) -> MappingDecision:
+def wmc_choose(candidates, prep, queues, cost_weight: float, rng) -> MappingDecision:
     """Weighted mixed cost: score each candidate by a convex combination of
     its cost share and queue share over the candidate set, take the argmin.
     A zero normalizer drops that term for every candidate. Polls every
@@ -146,8 +117,6 @@ def wmc_map(
     reach it, and the scan stops with the same argmin set a full scan
     finds. Ties go back into candidate order before the pick.
     """
-    if prep is None:
-        prep = wmc_prep(candidates, costs, cost_weight)
     shares, order = prep
     queue_total = 0
     for k in candidates:
@@ -198,21 +167,10 @@ def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
     return tuple(base), tuple(boundary), need
 
 
-def mcs_map(
-    user: int,
-    candidates: Sequence[int],
-    costs,
-    queues,
-    n_choices: int,
-    rng,
-    *,
-    prep=None,
-) -> MappingDecision:
+def mcs_choose(candidates, prep, queues, n_choices: int, rng) -> MappingDecision:
     """Minimum cost subset: probe the min(n_choices, len(candidates))
     cheapest candidates (cost ties at the cut drawn uniformly), then take
     the least loaded of the probed set. Queries equal the probe count."""
-    if prep is None:
-        prep = mcs_prep(candidates, costs, n_choices)
     base, boundary, need = prep
     if need:
         probed = sorted(base + tuple(rng.sample(boundary, need)))
@@ -222,71 +180,38 @@ def mcs_map(
     return MappingDecision(_pick(ties, rng.random()), len(probed))
 
 
+# kind -> (prep, choose)
+_FAMILIES = {
+    "mincost": (min_cost_prep, min_cost_choose),
+    "minqueue": (min_queue_prep, min_queue_choose),
+    "pss": (min_cost_prep, pss_choose),
+    "wmc": (wmc_prep, wmc_choose),
+    "mcs": (mcs_prep, mcs_choose),
+}
+
+
 def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: int, n_files: int, rng):
     """Compile a spec into a per-request callable fn(user, file, queues).
 
-    Static per-(user, file) work (cost argmins, wmc cost shares and scan
-    orders, mcs probe sets) is memoized; the memoized path makes decisions
-    draw-for-draw identical to calling the plain strategy functions. That
-    work depends on the file only through its candidate tuple, so files
-    with equal tuples share one memo slot per user (at full replication,
-    all do).
+    The family's prep runs on the first request of each (user, memo slot)
+    and its result is kept for the rest of the run. prep depends on the
+    file only through its candidate tuple, so files with equal tuples
+    share one memo slot per user (at full replication, all do).
     """
-    kind = spec.kind
-
-    if kind == "minqueue":
-        def decide(user: int, file_index: int, queues) -> MappingDecision:
-            return min_queue_map(user, candidates_by_file[file_index], queues, rng)
-        return decide
-
+    try:
+        prep, choose = _FAMILIES[spec.kind]
+    except KeyError:
+        raise ValueError(f"unknown strategy kind {spec.kind!r}") from None
+    param = spec.param
     slot_of: dict[tuple[int, ...], int] = {}
     slot = [slot_of.setdefault(tuple(c), len(slot_of)) for c in candidates_by_file]
     memo: list[list] = [[None] * n_files for _ in range(n_users)]
 
-    if kind == "wmc":
-        weight = spec.param
+    def decide(user: int, file_index: int, queues) -> MappingDecision:
+        candidates = candidates_by_file[file_index]
+        static = memo[user][slot[file_index]]
+        if static is None:
+            static = memo[user][slot[file_index]] = prep(candidates, cost_rows[user], param)
+        return choose(candidates, static, queues, param, rng)
 
-        def decide(user: int, file_index: int, queues) -> MappingDecision:
-            prep = memo[user][slot[file_index]]
-            if prep is None:
-                prep = memo[user][slot[file_index]] = wmc_prep(
-                    candidates_by_file[file_index], cost_rows[user], weight)
-            return wmc_map(user, candidates_by_file[file_index], cost_rows[user],
-                           queues, weight, rng, prep=prep)
-        return decide
-
-    if kind == "mincost":
-        def decide(user: int, file_index: int, queues) -> MappingDecision:
-            prep = memo[user][slot[file_index]]
-            if prep is None:
-                prep = memo[user][slot[file_index]] = min_cost_prep(
-                    candidates_by_file[file_index], cost_rows[user])
-            return min_cost_map(user, candidates_by_file[file_index],
-                                cost_rows[user], rng, prep=prep)
-        return decide
-
-    if kind == "pss":
-        switch_prob = spec.param
-
-        def decide(user: int, file_index: int, queues) -> MappingDecision:
-            prep = memo[user][slot[file_index]]
-            if prep is None:
-                prep = memo[user][slot[file_index]] = min_cost_prep(
-                    candidates_by_file[file_index], cost_rows[user])
-            return pss_map(user, candidates_by_file[file_index], cost_rows[user],
-                           queues, switch_prob, rng, cost_prep=prep)
-        return decide
-
-    if kind == "mcs":
-        n_choices = spec.param
-
-        def decide(user: int, file_index: int, queues) -> MappingDecision:
-            prep = memo[user][slot[file_index]]
-            if prep is None:
-                prep = memo[user][slot[file_index]] = mcs_prep(
-                    candidates_by_file[file_index], cost_rows[user], n_choices)
-            return mcs_map(user, candidates_by_file[file_index], cost_rows[user],
-                           queues, n_choices, rng, prep=prep)
-        return decide
-
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    return decide

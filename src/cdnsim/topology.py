@@ -60,9 +60,3 @@ def load_cost_matrix(path) -> CostMatrix:
     if not rows:
         raise ConfigError("cost matrix file is empty")
     return CostMatrix(rows)
-
-
-def save_cost_matrix(matrix: CostMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix.entries:
-            fh.write(",".join(f"{c:g}" for c in row) + "\n")

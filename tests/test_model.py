@@ -162,9 +162,9 @@ def test_service_spec_parsing():
 def test_cost_matrix_validation():
     m = CostMatrix.from_rows([[1, 2.5], [0, 4]])
     assert m.n_users == 2 and m.n_servers == 2
-    assert m.row(1) == (0.0, 4.0)
+    assert m.entries[1] == (0.0, 4.0)
     assert all(type(c) is float for row in m.entries for c in row)
-    assert CostMatrix.from_rows([[-0.0, 1]]).row(0) == (0.0, 1.0)  # -0.0 is a zero cost
+    assert CostMatrix.from_rows([[-0.0, 1]]).entries[0] == (0.0, 1.0)  # -0.0 is a zero cost
     with pytest.raises(ConfigError):
         CostMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ConfigError):

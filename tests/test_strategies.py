@@ -10,30 +10,30 @@ from hypothesis import example, given, settings, strategies as st
 from cdnsim.engine import run_simulation
 from cdnsim.model import StrategySpec, default_config
 from cdnsim.popularity import candidate_table, proportional_placement, zipf_profile
-from cdnsim.strategies import (
-    MappingDecision,
-    bind_strategy,
-    mcs_map,
-    mcs_prep,
-    min_cost_map,
-    min_cost_prep,
-    min_queue_map,
-    pss_map,
-    wmc_map,
-    wmc_prep,
-)
+from cdnsim.strategies import MappingDecision, bind_strategy, mcs_prep
 from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
+
+
+def _bind(kind, param, candidates, costs, rng):
+    # bind_strategy on a table of one user and one file with these
+    # candidates; call the result as decide(0, 0, queues).
+    return bind_strategy(StrategySpec(kind, param), (costs,), (tuple(candidates),), 1, 1, rng)
+
+
+def _decide(kind, param, candidates, costs, queues, rng):
+    # One request through a fresh binding.
+    return _bind(kind, param, candidates, costs, rng)(0, 0, queues)
 
 
 def test_min_cost_picks_cheapest_and_never_queries():
     rng = Random(0)
-    decision = min_cost_map(0, (0, 1, 2), (4.0, 1.0, 9.0), rng)
+    decision = _decide("mincost", None, (0, 1, 2), (4.0, 1.0, 9.0), (0, 0, 0), rng)
     assert decision == MappingDecision(server=1, queries_used=0)
 
 
 def test_min_queue_picks_least_loaded_and_queries_all():
     rng = Random(0)
-    decision = min_queue_map(0, (0, 2, 3), (9, 9, 4, 2), rng)
+    decision = _decide("minqueue", None, (0, 2, 3), (0.0,) * 4, (9, 9, 4, 2), rng)
     assert decision == MappingDecision(server=3, queries_used=3)
 
 
@@ -42,7 +42,7 @@ def test_wmc_hand_example():
     # normalizers 10 and 4; scores 0.575 vs 0.425, so the dearer but
     # emptier server wins.
     rng = Random(0)
-    decision = wmc_map(0, (0, 1), (4.0, 6.0), (3, 1), 0.5, rng)
+    decision = _decide("wmc", 0.5, (0, 1), (4.0, 6.0), (3, 1), rng)
     assert decision == MappingDecision(server=1, queries_used=2)
 
 
@@ -50,8 +50,8 @@ def test_wmc_weight_one_is_cost_argmin_weight_zero_is_queue_argmin():
     rng = Random(1)
     costs = (5.0, 2.0, 7.0)
     queues = (0, 6, 1)
-    assert wmc_map(0, (0, 1, 2), costs, queues, 1.0, rng).server == 1
-    assert wmc_map(0, (0, 1, 2), costs, queues, 0.0, rng).server == 0
+    assert _decide("wmc", 1.0, (0, 1, 2), costs, queues, rng).server == 1
+    assert _decide("wmc", 0.0, (0, 1, 2), costs, queues, rng).server == 0
 
 
 def test_wmc_scale_invariance():
@@ -60,21 +60,21 @@ def test_wmc_scale_invariance():
     costs = (3.0, 5.0, 4.0)
     queues = (2, 1, 4)
     for weight in (0.0, 0.3, 0.7, 1.0):
-        a = wmc_map(0, (0, 1, 2), costs, queues, weight, Random(9)).server
-        b = wmc_map(0, (0, 1, 2), tuple(10 * c for c in costs),
-                    tuple(10 * q for q in queues), weight, Random(9)).server
+        a = _decide("wmc", weight, (0, 1, 2), costs, queues, Random(9)).server
+        b = _decide("wmc", weight, (0, 1, 2), tuple(10 * c for c in costs),
+                    tuple(10 * q for q in queues), Random(9)).server
         assert a == b
 
 
 def test_wmc_zero_cost_normalizer_falls_back_to_queue_share():
     rng = Random(2)
-    decision = wmc_map(0, (0, 1), (0.0, 0.0), (5, 2), 0.9, rng)
+    decision = _decide("wmc", 0.9, (0, 1), (0.0, 0.0), (5, 2), rng)
     assert decision.server == 1
 
 
 def test_wmc_zero_queue_normalizer_falls_back_to_cost_share():
     rng = Random(2)
-    decision = wmc_map(0, (0, 1), (3.0, 1.0), (0, 0), 0.1, rng)
+    decision = _decide("wmc", 0.1, (0, 1), (3.0, 1.0), (0, 0), rng)
     assert decision.server == 1
 
 
@@ -82,13 +82,13 @@ def test_mcs_hand_example():
     # Probe the two cheapest of costs (5, 2, 9, 4): servers 1 and 3.
     # Queues (1, 7, 0, 0) make server 3 the emptier probe.
     rng = Random(0)
-    decision = mcs_map(0, (0, 1, 2, 3), (5.0, 2.0, 9.0, 4.0), (1, 7, 0, 0), 2, rng)
+    decision = _decide("mcs", 2, (0, 1, 2, 3), (5.0, 2.0, 9.0, 4.0), (1, 7, 0, 0), rng)
     assert decision == MappingDecision(server=3, queries_used=2)
 
 
 def test_mcs_probe_count_caps_at_candidate_count():
     rng = Random(0)
-    decision = mcs_map(0, (0, 1), (1.0, 2.0), (5, 5), 10, rng)
+    decision = _decide("mcs", 10, (0, 1), (1.0, 2.0), (5, 5), rng)
     assert decision.queries_used == 2
 
 
@@ -112,11 +112,11 @@ def test_mcs_boundary_sampling_is_uniform():
     candidates = (0, 1, 2, 3)
     costs = (0.0, 2.0, 2.0, 2.0)
     queues = (9, 0, 0, 0)
-    rng = Random(44)
+    decide = _bind("mcs", 2, candidates, costs, Random(44))
     hits = Counter()
     n = 6000
     for _ in range(n):
-        decision = mcs_map(0, candidates, costs, queues, 2, rng)
+        decision = decide(0, 0, queues)
         assert decision.queries_used == 2
         hits[decision.server] += 1
     assert hits[0] == 0  # loaded cheap server always loses the queue stage
@@ -125,11 +125,11 @@ def test_mcs_boundary_sampling_is_uniform():
 
 
 def test_tie_break_is_uniform_over_argmin_set():
-    rng = Random(7)
+    decide = _bind("minqueue", None, (0, 1, 2), (0.0, 0.0, 0.0), Random(7))
     hits = Counter()
     n = 9000
     for _ in range(n):
-        hits[min_queue_map(0, (0, 1, 2), (4, 4, 4), rng).server] += 1
+        hits[decide(0, 0, (4, 4, 4)).server] += 1
     for k in (0, 1, 2):
         assert abs(hits[k] / n - 1 / 3) < 0.03
 
@@ -140,14 +140,14 @@ def test_pss_extremes_replay_pure_strategies_draw_for_draw():
     candidates = (0, 1, 2, 3)
     for seed in range(200):
         a_rng, b_rng = Random(seed), Random(seed)
-        a = pss_map(0, candidates, costs, queues, 0.0, a_rng)
-        b = min_cost_map(0, candidates, costs, b_rng)
+        a = _decide("pss", 0.0, candidates, costs, queues, a_rng)
+        b = _decide("mincost", None, candidates, costs, queues, b_rng)
         assert a == b
         assert a_rng.getstate() == b_rng.getstate()
 
         a_rng, b_rng = Random(seed), Random(seed)
-        a = pss_map(0, candidates, costs, queues, 1.0, a_rng)
-        b = min_queue_map(0, candidates, queues, b_rng)
+        a = _decide("pss", 1.0, candidates, costs, queues, a_rng)
+        b = _decide("minqueue", None, candidates, costs, queues, b_rng)
         assert a == b
         assert a_rng.getstate() == b_rng.getstate()
 
@@ -158,8 +158,8 @@ def test_mcs_with_full_probe_budget_replays_min_queue():
     candidates = (0, 1, 2, 3)
     for seed in range(200):
         a_rng, b_rng = Random(seed), Random(seed)
-        a = mcs_map(0, candidates, costs, queues, 4, a_rng)
-        b = min_queue_map(0, candidates, queues, b_rng)
+        a = _decide("mcs", 4, candidates, costs, queues, a_rng)
+        b = _decide("minqueue", None, candidates, costs, queues, b_rng)
         assert a == b
         assert a_rng.getstate() == b_rng.getstate()
 
@@ -167,16 +167,12 @@ def test_mcs_with_full_probe_budget_replays_min_queue():
 def test_every_strategy_consumes_the_stream_identically_on_singletons():
     # One candidate, so no ties anywhere; each call must still burn its
     # pick draw so downstream draws stay aligned across strategies.
-    for fn in (
-        lambda r: min_cost_map(0, (2,), (0.0, 0.0, 1.0), r),
-        lambda r: min_queue_map(0, (2,), (0, 0, 5), r),
-        lambda r: pss_map(0, (2,), (0.0, 0.0, 1.0), (0, 0, 5), 0.4, r),
-        lambda r: wmc_map(0, (2,), (0.0, 0.0, 1.0), (0, 0, 5), 0.4, r),
-        lambda r: mcs_map(0, (2,), (0.0, 0.0, 1.0), (0, 0, 5), 1, r),
+    for kind, param in (
+        ("mincost", None), ("minqueue", None), ("pss", 0.4), ("wmc", 0.4), ("mcs", 1),
     ):
         rng = Random(11)
         ref = Random(11)
-        decision = fn(rng)
+        decision = _decide(kind, param, (2,), (0.0, 0.0, 1.0), (0, 0, 5), rng)
         assert decision.server == 2
         ref.random()
         assert rng.getstate() == ref.getstate()
@@ -189,10 +185,11 @@ def test_pss_branch_fraction_matches_switch_probability():
     queues = (1, 0)
     rng = Random(3)
     for zeta in (0.25, 0.5, 0.75):
+        decide = _bind("pss", zeta, (0, 1), costs, rng)
         polled = 0
         n = 8000
         for _ in range(n):
-            if pss_map(0, (0, 1), costs, queues, zeta, rng).queries_used:
+            if decide(0, 0, queues).queries_used:
                 polled += 1
         assert abs(polled / n - zeta) < 0.02
 
@@ -200,39 +197,21 @@ def test_pss_branch_fraction_matches_switch_probability():
 def test_pss_rescaled_draw_is_uniform_within_each_branch():
     # Within the queue branch the reused draw must still break ties
     # uniformly; same for the cost branch.
-    rng = Random(21)
+    decide = _bind("pss", 0.5, (0, 1), (5.0, 5.0), Random(21))
     queue_hits = Counter()
     cost_hits = Counter()
     n = 20000
     for _ in range(n):
-        decision = pss_map(0, (0, 1), (5.0, 5.0), (2, 2), 0.5, rng)
+        decision = decide(0, 0, (2, 2))
         (queue_hits if decision.queries_used else cost_hits)[decision.server] += 1
     for hits in (queue_hits, cost_hits):
         total = hits[0] + hits[1]
         assert abs(hits[0] / total - 0.5) < 0.03
 
 
-def test_prep_paths_are_draw_identical_to_plain_calls():
-    costs = (4.0, 1.0, 1.0, 8.0)
-    queues = (2, 3, 0, 0)
-    candidates = (0, 1, 2, 3)
-    prep_cost = min_cost_prep(candidates, costs)
-    prep_mcs = mcs_prep(candidates, costs, 2)
-    for seed in range(100):
-        a_rng, b_rng = Random(seed), Random(seed)
-        assert min_cost_map(0, candidates, costs, a_rng, prep=prep_cost) == \
-            min_cost_map(0, candidates, costs, b_rng)
-        assert a_rng.getstate() == b_rng.getstate()
-
-        a_rng, b_rng = Random(seed), Random(seed)
-        assert mcs_map(0, candidates, costs, queues, 2, a_rng, prep=prep_mcs) == \
-            mcs_map(0, candidates, costs, queues, 2, b_rng)
-        assert a_rng.getstate() == b_rng.getstate()
-
-
 def _wmc_reference(candidates, costs, queues, cost_weight, rng):
     # Per-request scoring with no precomputation: the float expressions
-    # the memoized wmc path must reproduce exactly.
+    # the prep/choose split of wmc must reproduce exactly.
     cost_total = 0.0
     queue_total = 0
     for k in candidates:
@@ -271,12 +250,10 @@ def test_wmc_prep_path_matches_reference_scoring(servers, weight, seed):
     candidates = tuple(range(len(servers)))
     costs = tuple(c for c, _ in servers)
     queues = tuple(q for _, q in servers)
-    prep = wmc_prep(candidates, costs, weight)
-    ref_rng, plain_rng, prep_rng = Random(seed), Random(seed), Random(seed)
+    ref_rng, rng = Random(seed), Random(seed)
     expected = _wmc_reference(candidates, costs, queues, weight, ref_rng)
-    assert wmc_map(0, candidates, costs, queues, weight, plain_rng) == expected
-    assert wmc_map(0, candidates, costs, queues, weight, prep_rng, prep=prep) == expected
-    assert ref_rng.getstate() == plain_rng.getstate() == prep_rng.getstate()
+    assert _decide("wmc", weight, candidates, costs, queues, rng) == expected
+    assert ref_rng.getstate() == rng.getstate()
 
 
 # Each cost with its upper float neighbour: weighted shares of such pairs
@@ -327,12 +304,10 @@ def _wmc_scan_cases(draw):
 @example(case=((0, 1, 2), (3.0, 1.0, 4.0), (0, 1, 3)), weight=0.5, seed=0)
 def test_wmc_early_exit_matches_full_scan(case, weight, seed):
     candidates, costs, queues = case
-    prep = wmc_prep(candidates, costs, weight)
-    ref_rng, plain_rng, prep_rng = Random(seed), Random(seed), Random(seed)
+    ref_rng, rng = Random(seed), Random(seed)
     expected = _wmc_reference(candidates, costs, queues, weight, ref_rng)
-    assert wmc_map(0, candidates, costs, queues, weight, plain_rng) == expected
-    assert wmc_map(0, candidates, costs, queues, weight, prep_rng, prep=prep) == expected
-    assert ref_rng.getstate() == plain_rng.getstate() == prep_rng.getstate()
+    assert _decide("wmc", weight, candidates, costs, queues, rng) == expected
+    assert ref_rng.getstate() == rng.getstate()
 
 
 class _CountingQueues(list):
@@ -352,14 +327,14 @@ def test_wmc_scan_stops_at_first_share_above_best():
     costs = tuple(float(c) for c in range(1, 101))
     queues = _CountingQueues([1] * 100)
     rng, ref_rng = Random(4), Random(4)
-    decision = wmc_map(0, candidates, costs, queues, 0.5, rng)
+    decision = _decide("wmc", 0.5, candidates, costs, queues, rng)
     assert queues.reads == 100 + 51
     assert decision == _wmc_reference(candidates, costs, [1] * 100, 0.5, ref_rng)
     assert decision.server == 0 and decision.queries_used == 100
     assert rng.getstate() == ref_rng.getstate()
 
 
-def test_bind_strategy_wmc_at_full_replication_matches_plain_calls():
+def test_bind_strategy_wmc_at_full_replication_matches_reference_scoring():
     # Every server holds every file, so all files share one candidate tuple
     # and one memo slot per user. Queue states come from a short M=70 run.
     cfg = default_config(cache_size=70, horizon_events=3_000)
@@ -380,15 +355,16 @@ def test_bind_strategy_wmc_at_full_replication_matches_plain_calls():
     assert len(states) == 3_000
     assert sum(1 for _, _, q in states if sum(q) > 0) > 2_900
 
-    rows = [list(r) for r in costs.entries]
+    rows = costs.entries
     for weight in (0.25, 0.5, 0.75):
-        bound_rng, plain_rng = Random(weight), Random(weight)
+        bound_rng, ref_rng = Random(weight), Random(weight)
         decide = bind_strategy(StrategySpec("wmc", weight), rows, cands,
                                cfg.n_users, cfg.n_files, bound_rng)
         for user, fidx, queues in states:
-            assert decide(user, fidx, queues) == wmc_map(
-                user, cands[fidx], rows[user], queues, weight, plain_rng)
-        assert bound_rng.getstate() == plain_rng.getstate()
+            assert decide(user, fidx, queues) == _wmc_reference(
+                cands[fidx], rows[user], queues, weight, ref_rng)
+        assert bound_rng.getstate() == ref_rng.getstate()
+
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
@@ -406,15 +382,15 @@ def test_decisions_are_feasible_and_queries_accounted(data):
 
     m = len(candidates)
     checks = [
-        (min_cost_map(0, candidates, costs, rng), 0),
-        (min_queue_map(0, candidates, queues, rng), m),
-        (pss_map(0, candidates, costs, queues,
-                 data.draw(st.floats(0, 1), label="zeta"), rng), None),
-        (wmc_map(0, candidates, costs, queues,
-                 data.draw(st.floats(0, 1), label="alpha"), rng), m),
+        (_decide("mincost", None, candidates, costs, queues, rng), 0),
+        (_decide("minqueue", None, candidates, costs, queues, rng), m),
+        (_decide("pss", data.draw(st.floats(0, 1), label="zeta"),
+                 candidates, costs, queues, rng), None),
+        (_decide("wmc", data.draw(st.floats(0, 1), label="alpha"),
+                 candidates, costs, queues, rng), m),
     ]
     delta = data.draw(st.integers(1, 8), label="delta")
-    checks.append((mcs_map(0, candidates, costs, queues, delta, rng), min(delta, m)))
+    checks.append((_decide("mcs", delta, candidates, costs, queues, rng), min(delta, m)))
     for decision, expected_queries in checks:
         assert decision.server in candidates
         if expected_queries is not None:
@@ -423,30 +399,52 @@ def test_decisions_are_feasible_and_queries_accounted(data):
             assert decision.queries_used in (0, m)
 
 
-def test_bind_strategy_matches_plain_calls_for_every_kind():
-    cost_rows = ((4.0, 1.0, 1.0), (2.0, 2.0, 9.0))
-    # Files 0 and 2 have equal candidate tuples and share a memo slot.
-    candidates_by_file = ((0, 1, 2), (0, 2), (0, 1, 2))
-    queues = (1, 0, 1)
+@st.composite
+def _request_tables(draw):
+    # (cost_rows, candidates_by_file, requests) for several users. Costs come
+    # from a small set, so rows tie; files draw their candidate tuples from a
+    # short list, so several files share a tuple (and a memo slot).
+    n_servers = draw(st.integers(1, 5))
+    n_users = draw(st.integers(2, 4))
+    cost = st.sampled_from((0.0, 1.0, 2.0, 5.0))
+    rows = tuple(tuple(draw(st.lists(cost, min_size=n_servers, max_size=n_servers)))
+                 for _ in range(n_users))
+    subset = st.sets(st.integers(0, n_servers - 1), min_size=1).map(sorted).map(tuple)
+    tuples = draw(st.lists(subset, min_size=1, max_size=3))
+    cands = tuple(draw(st.lists(st.sampled_from(tuples), min_size=2, max_size=6)))
+    queues = st.lists(st.integers(0, 3), min_size=n_servers, max_size=n_servers).map(tuple)
+    requests = draw(st.lists(
+        st.tuples(st.integers(0, n_users - 1), st.integers(0, len(cands) - 1), queues),
+        min_size=1, max_size=30))
+    return rows, cands, requests
 
-    cases = [
-        (StrategySpec("mincost", None),
-         lambda u, f, q, r: min_cost_map(u, candidates_by_file[f], cost_rows[u], r)),
-        (StrategySpec("minqueue", None),
-         lambda u, f, q, r: min_queue_map(u, candidates_by_file[f], q, r)),
-        (StrategySpec("pss", 0.5),
-         lambda u, f, q, r: pss_map(u, candidates_by_file[f], cost_rows[u], q, 0.5, r)),
-        (StrategySpec("wmc", 0.5),
-         lambda u, f, q, r: wmc_map(u, candidates_by_file[f], cost_rows[u], q, 0.5, r)),
-        (StrategySpec("mcs", 2),
-         lambda u, f, q, r: mcs_map(u, candidates_by_file[f], cost_rows[u], q, 2, r)),
-    ]
-    for spec, plain in cases:
-        bound_rng, plain_rng = Random(5), Random(5)
-        decide = bind_strategy(spec, cost_rows, candidates_by_file, 2, 3, bound_rng)
-        for user, fidx in ((0, 0), (1, 1), (0, 1), (0, 0), (1, 0), (0, 2), (1, 2)):
-            assert decide(user, fidx, queues) == plain(user, fidx, queues, plain_rng)
-        assert bound_rng.getstate() == plain_rng.getstate()
+
+@settings(max_examples=150, deadline=None)
+@given(table=_request_tables(), zeta=st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0, 1),
+       alpha=st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0, 1),
+       delta=st.integers(1, 4), seed=st.integers(0, 2**32))
+# Two users with opposite cheapest servers ask for file 0 in turn, then for
+# file 1, whose only candidate is not user 0's cheapest of file 0: a memo
+# keyed without the user, or one slot for every file, picks the wrong server.
+@example(table=(((1.0, 0.0), (0.0, 1.0)), ((0, 1), (0,), (0, 1)),
+                [(0, 0, (0, 0)), (1, 0, (0, 0)), (0, 1, (0, 0)), (1, 2, (0, 0))]),
+         zeta=0.5, alpha=0.5, delta=1, seed=0)
+def test_bind_strategy_cold_and_warm_memo_agree_for_every_kind(table, zeta, alpha, delta, seed):
+    # A fresh binding per request runs prep on every call (cold memo); one
+    # binding for the whole sequence reuses it (warm memo). Both must make
+    # the same decisions from the same draws, for every family.
+    rows, cands, requests = table
+    n_users, n_files = len(rows), len(cands)
+    for spec in (StrategySpec("mincost"), StrategySpec("minqueue"), StrategySpec("pss", zeta),
+                 StrategySpec("wmc", alpha), StrategySpec("mcs", delta)):
+        cold_rng, warm_rng = Random(seed), Random(seed)
+        warm = bind_strategy(spec, rows, cands, n_users, n_files, warm_rng)
+        for user, fidx, queues in requests:
+            cold = bind_strategy(spec, rows, cands, n_users, n_files, cold_rng)
+            decision = warm(user, fidx, queues)
+            assert decision == cold(user, fidx, queues), (spec, user, fidx)
+            assert decision.server in cands[fidx]
+        assert warm_rng.getstate() == cold_rng.getstate()
 
 
 def test_bind_strategy_rejects_unknown_kind():

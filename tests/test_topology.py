@@ -11,7 +11,6 @@ from cdnsim.topology import (
     load_cost_matrix,
     manhattan_cost_matrix,
     random_lattice_layout,
-    save_cost_matrix,
 )
 
 
@@ -22,8 +21,8 @@ def test_manhattan_hand_example():
         servers=((0, 0), (2, 3), (4, 0)),
     )
     matrix = manhattan_cost_matrix(layout)
-    assert matrix.row(0) == (0.0, 5.0, 4.0)
-    assert matrix.row(1) == (8.0, 3.0, 4.0)
+    assert matrix.entries[0] == (0.0, 5.0, 4.0)
+    assert matrix.entries[1] == (8.0, 3.0, 4.0)
     assert all(type(c) is float for row in matrix.entries for c in row)
 
 
@@ -91,7 +90,7 @@ def test_manhattan_matrix_properties(side, n_users, n_servers, seed):
 def test_cost_matrix_roundtrip(tmp_path):
     matrix = CostMatrix.from_rows([[0.0, 5.5, 4.0], [8.0, 3.0, 4.25]])
     path = tmp_path / "costs.csv"
-    save_cost_matrix(matrix, path)
+    path.write_text("0,5.5,4\n8.0,3,4.25\n")
     loaded = load_cost_matrix(path)
     assert loaded == matrix
 
