@@ -234,6 +234,77 @@ def _wmc_reference(candidates, costs, queues, cost_weight, rng):
     return MappingDecision(ties[min(j, len(ties) - 1)], len(candidates))
 
 
+def _pick_reference(ties, rng):
+    j = int(rng.random() * len(ties))
+    return ties[min(j, len(ties) - 1)]
+
+
+def _argmin_reference(candidates, values):
+    best = min(values[k] for k in candidates)
+    return [k for k in candidates if values[k] == best]
+
+
+def _min_cost_reference(candidates, costs, rng):
+    return MappingDecision(_pick_reference(_argmin_reference(candidates, costs), rng), 0)
+
+
+def _min_queue_reference(candidates, queues, rng):
+    ties = _argmin_reference(candidates, queues)
+    return MappingDecision(_pick_reference(ties, rng), len(candidates))
+
+
+def _pss_reference(candidates, costs, queues, switch_prob, rng):
+    # One uniform picks the branch; rescaled, it is the branch's pick draw.
+    x = rng.random()
+    if switch_prob > 0.0 and x <= switch_prob:
+        ties, u, queries = _argmin_reference(candidates, queues), x / switch_prob, len(candidates)
+    else:
+        ties, queries = _argmin_reference(candidates, costs), 0
+        u = x if switch_prob >= 1.0 else (x - switch_prob) / (1.0 - switch_prob)
+    j = int(u * len(ties))
+    return MappingDecision(ties[min(j, len(ties) - 1)], queries)
+
+
+def _mcs_reference(candidates, costs, queues, n_choices, rng):
+    # Probe set worked out from scratch on every request: everything below
+    # the cut cost, plus a uniform sample of the servers tied at the cut
+    # (no draw when all of them fit).
+    probes = min(n_choices, len(candidates))
+    threshold = sorted(costs[k] for k in candidates)[probes - 1]
+    base = [k for k in candidates if costs[k] < threshold]
+    boundary = [k for k in candidates if costs[k] == threshold]
+    need = probes - len(base)
+    if probes < len(candidates) and need < len(boundary):
+        probed = sorted(base + rng.sample(boundary, need))
+    elif probes < len(candidates):
+        probed = sorted(base + boundary)
+    else:
+        probed = list(candidates)
+    ties = _argmin_reference(probed, queues)
+    return MappingDecision(_pick_reference(ties, rng), len(probed))
+
+
+def test_prep_paths_are_draw_identical_to_plain_calls():
+    # One binding preps mincost and mcs on the first request and reuses
+    # the result; the references recompute everything per request.
+    # With the second row, mcs samples 2 of the 3 servers tied at cost 1.
+    queues = (2, 3, 0, 0)
+    candidates = (0, 1, 2, 3)
+    for costs in ((4.0, 1.0, 1.0, 8.0), (4.0, 1.0, 1.0, 1.0)):
+        for seed in range(100):
+            a_rng, b_rng = Random(seed), Random(seed)
+            decide = _bind("mincost", None, candidates, costs, a_rng)
+            for _ in range(3):
+                assert decide(0, 0, queues) == _min_cost_reference(candidates, costs, b_rng)
+            assert a_rng.getstate() == b_rng.getstate()
+
+            a_rng, b_rng = Random(seed), Random(seed)
+            decide = _bind("mcs", 2, candidates, costs, a_rng)
+            for _ in range(3):
+                assert decide(0, 0, queues) == _mcs_reference(candidates, costs, queues, 2, b_rng)
+            assert a_rng.getstate() == b_rng.getstate()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     servers=st.lists(
@@ -445,6 +516,33 @@ def test_bind_strategy_cold_and_warm_memo_agree_for_every_kind(table, zeta, alph
             assert decision == cold(user, fidx, queues), (spec, user, fidx)
             assert decision.server in cands[fidx]
         assert warm_rng.getstate() == cold_rng.getstate()
+
+
+def test_bind_strategy_matches_plain_calls_for_every_kind():
+    cost_rows = ((4.0, 1.0, 1.0), (2.0, 2.0, 9.0))
+    # Files 0 and 2 have equal candidate tuples and share a memo slot.
+    candidates_by_file = ((0, 1, 2), (0, 2), (0, 1, 2))
+    queues = (1, 0, 1)
+
+    cases = [
+        (StrategySpec("mincost", None),
+         lambda u, f, q, r: _min_cost_reference(candidates_by_file[f], cost_rows[u], r)),
+        (StrategySpec("minqueue", None),
+         lambda u, f, q, r: _min_queue_reference(candidates_by_file[f], q, r)),
+        (StrategySpec("pss", 0.5),
+         lambda u, f, q, r: _pss_reference(candidates_by_file[f], cost_rows[u], q, 0.5, r)),
+        (StrategySpec("wmc", 0.5),
+         lambda u, f, q, r: _wmc_reference(candidates_by_file[f], cost_rows[u], q, 0.5, r)),
+        (StrategySpec("mcs", 2),
+         lambda u, f, q, r: _mcs_reference(candidates_by_file[f], cost_rows[u], q, 2, r)),
+    ]
+    for spec, plain in cases:
+        for seed in range(20):
+            bound_rng, plain_rng = Random(seed), Random(seed)
+            decide = bind_strategy(spec, cost_rows, candidates_by_file, 2, 3, bound_rng)
+            for user, fidx in ((0, 0), (1, 1), (0, 1), (0, 0), (1, 0), (0, 2), (1, 2)):
+                assert decide(user, fidx, queues) == plain(user, fidx, queues, plain_rng)
+            assert bound_rng.getstate() == plain_rng.getstate()
 
 
 def test_bind_strategy_rejects_unknown_kind():
