@@ -19,6 +19,7 @@ is written by such a hook.
 from __future__ import annotations
 
 import hashlib
+import math
 from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
@@ -179,10 +180,12 @@ def run_simulation(
     push = heappush
     pop = heappop
     bis = bisect_right
-    arr_exp = arr_rng.expovariate
+    # Exponential draws are Random.expovariate's own expression,
+    # -log(1.0 - random()) / rate: the same float from the same uniform.
+    log = math.log
     arr_u = arr_rng.random
     file_u = file_rng.random
-    svc_exp = svc_rng.expovariate
+    svc_u = svc_rng.random
     service_is_exp = cfg.service.kind == "exp"
     svc_param = cfg.service.value
     INF = float("inf")
@@ -190,7 +193,7 @@ def run_simulation(
     # jobs belong to the early or the late half of the counted window.
     UNCOUNTED, EARLY, LATE = 0, 1, 2
 
-    gap = arr_exp(total_rate)
+    gap = -log(1.0 - arr_u()) / total_rate
     next_user = bis(cum_rates, arr_u() * total_rate)
     next_t = gap
     arrivals_done = 0
@@ -231,7 +234,7 @@ def run_simulation(
                 t_last = t
             x = file_u()
             fidx = bis(cum_probs, x)
-            svc = svc_exp(svc_param) if service_is_exp else svc_param
+            svc = -log(1.0 - svc_u()) / svc_param if service_is_exp else svc_param
             decision = decide(next_user, fidx, njobs)
             k = decision.server
             if arrivals_done < warmup:
@@ -257,7 +260,7 @@ def run_simulation(
             njobs_total += 1
             arrivals_done += 1
             if arrivals_done < horizon:
-                gap = arr_exp(total_rate)
+                gap = -log(1.0 - arr_u()) / total_rate
                 next_user = bis(cum_rates, arr_u() * total_rate)
                 next_t = t + gap
             else:

@@ -106,7 +106,7 @@ class StrategySpec:
         elif self.param is None:
             raise ConfigError(f"{self.kind} needs a {_PARAMETRIC[self.kind]}")
         elif self.kind == "mcs":
-            if int(self.param) != self.param or self.param < 1:
+            if not math.isfinite(self.param) or int(self.param) != self.param or self.param < 1:
                 raise ConfigError(f"mcs probe count must be an integer >= 1, got {self.param}")
             object.__setattr__(self, "param", int(self.param))
         else:

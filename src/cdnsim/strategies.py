@@ -16,7 +16,9 @@ uniform, rescaled back to [0, 1), as that pick draw. Under a shared seed
 this makes pss at switch probability 0 replay mincost draw-for-draw and
 at 1 replay minqueue, and mcs with probe count >= len(candidates) replay
 minqueue. Only mcs can consume extra draws, and only when a random
-subset of cost-tied servers must be probed.
+subset of cost-tied servers must be probed. It draws those probes from
+the stream's getrandbits exactly as Random.sample(boundary, need) would
+(_sample_ties), so the picks and every later draw are those of sample.
 """
 
 from __future__ import annotations
@@ -144,13 +146,16 @@ def wmc_choose(candidates, prep, queues, cost_weight: float, rng) -> MappingDeci
 def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
     """Static part of the mcs probe-set choice.
 
-    Returns (base, boundary, need): base servers are always probed; when
-    need > 0, `need` more are drawn uniformly from the cost-tied boundary.
+    Returns (base, boundary, draws, pooled): base servers are always
+    probed; when draws is non-empty, len(draws) more are drawn uniformly
+    from the cost-tied boundary by _sample_ties. draws holds one
+    (bound, bit_length) pair per pick and pooled names the branch of
+    Random.sample that a sample of that size from that boundary takes.
     """
     n = len(candidates)
     probes = n_choices if n_choices < n else n
     if probes == n:
-        return tuple(candidates), (), 0
+        return tuple(candidates), (), (), False
     ordered = sorted(costs[k] for k in candidates)
     threshold = ordered[probes - 1]
     base = []
@@ -163,17 +168,54 @@ def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
             boundary.append(k)
     need = probes - len(base)
     if need == len(boundary):
-        return tuple(sorted(base + boundary)), (), 0
-    return tuple(base), tuple(boundary), need
+        return tuple(sorted(base + boundary)), (), (), False
+    # Random.sample's choice between its two branches (CPython 3.11).
+    n_ties = len(boundary)
+    setsize = 21
+    if need > 5:
+        setsize += 4 ** math.ceil(math.log(need * 3, 4))
+    pooled = n_ties <= setsize
+    bounds = range(n_ties, n_ties - need, -1) if pooled else (n_ties,) * need
+    draws = tuple((m, m.bit_length()) for m in bounds)
+    return tuple(base), tuple(boundary), draws, pooled
+
+
+def _sample_ties(boundary, draws, pooled: bool, getrandbits) -> list[int]:
+    """Random.sample(boundary, len(draws)) from the same getrandbits calls.
+
+    Follows CPython 3.11: each pick is a rejection loop on
+    getrandbits(bit_length) below its bound. The pooled branch swaps the
+    last unpicked entry into each picked position; the other draws
+    positions over the whole boundary and redraws any picked before.
+    """
+    picks = []
+    if pooled:
+        pool = list(boundary)
+        for m, bits in draws:
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            picks.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        # Boundary servers are distinct, so a picked server marks its position.
+        for m, bits in draws:
+            j = getrandbits(bits)
+            while j >= m or boundary[j] in picks:
+                j = getrandbits(bits)
+            picks.append(boundary[j])
+    return picks
 
 
 def mcs_choose(candidates, prep, queues, n_choices: int, rng) -> MappingDecision:
     """Minimum cost subset: probe the min(n_choices, len(candidates))
     cheapest candidates (cost ties at the cut drawn uniformly), then take
     the least loaded of the probed set. Queries equal the probe count."""
-    base, boundary, need = prep
-    if need:
-        probed = sorted(base + tuple(rng.sample(boundary, need)))
+    base, boundary, draws, pooled = prep
+    if draws:
+        probed = _sample_ties(boundary, draws, pooled, rng.getrandbits)
+        probed += base
+        probed.sort()
     else:
         probed = base
     ties = _argmin_set(probed, queues)

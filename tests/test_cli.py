@@ -191,6 +191,15 @@ def test_main_errors_are_reported_not_raised(tmp_path, capsys):
     assert err.count("simulate: error:") == 3
 
 
+def test_main_rejects_non_finite_mcs_counts(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(["--strategy", "mcs:inf", "--out", str(out)]) == 2
+    assert main(["--strategy", "mcs", "--sweep", "1,nan", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("simulate: error:") == 2
+    assert not out.exists()
+
+
 def test_main_trace_and_placement_dump(tmp_path):
     cfg_path = tmp_path / "sim.cfg"
     _write_small_config(cfg_path)

@@ -188,6 +188,59 @@ def test_two_job_fifo_matches_hand_recurrence():
     assert saw_overlap and saw_gap and saw_growth
 
 
+def _fifo_replay(run_seed, horizon, rate, service_rate):
+    # Arrival times, queue lengths seen and sojourns of `horizon` jobs at one
+    # server, from the engine's sub-streams drawn through expovariate.
+    arr = substream(run_seed, "arrivals")
+    svc = substream(run_seed, "service")
+    times, seen, sojourns = [], [], []
+    in_system = deque()
+    t = free_at = 0.0
+    for _ in range(horizon):
+        t += arr.expovariate(rate)
+        arr.random()  # the user draw
+        while in_system and in_system[0] <= t:
+            in_system.popleft()
+        seen.append(len(in_system))
+        free_at = max(t, free_at) + svc.expovariate(service_rate)
+        in_system.append(free_at)
+        times.append(t)
+        sojourns.append(free_at - t)
+    return times, seen, sojourns
+
+
+def test_exponential_draws_replay_expovariate_at_one_server():
+    # 2,000 arrivals at load 0.9: every arrival time and queue length seen,
+    # the mean sojourn and its growth, and single-job windows every 100th
+    # job equal the replay's exactly.
+    horizon, seed = 2000, 7
+    times, seen, sojourns = _fifo_replay(seed, horizon, 0.9, 1.0)
+    assert 0 in seen and max(seen) > 3
+
+    observed = []
+    result = run_simulation(
+        _single_queue_config(horizon=horizon, service="exp:1.0", rate=0.9), "mincost", seed,
+        cost_matrix=_UNIT_COST, allocation=_UNIT_ALLOC,
+        decision_hook=lambda t, user, fidx, cands, queues, d: observed.append((t, queues[0])),
+    )
+    assert observed == list(zip(times, seen))
+    total = early = late = 0.0
+    for i, w in enumerate(sojourns):
+        total += w
+        if i < horizon // 2:
+            early += w
+        else:
+            late += w
+    assert result.avg_wait == total / horizon
+    assert result.wait_growth == (late / (horizon // 2)) / (early / (horizon // 2))
+
+    for h in range(100, horizon + 1, 100):
+        cfg = _single_queue_config(horizon=h, service="exp:1.0", rate=0.9, warmup=h - 1)
+        one = run_simulation(cfg, "mincost", seed, cost_matrix=_UNIT_COST,
+                             allocation=_UNIT_ALLOC)
+        assert one.avg_wait == sojourns[h - 1]
+
+
 def test_mm1_sojourn_at_moderate_load():
     cfg = _single_queue_config(horizon=30_000, service="exp:1.0", rate=0.5, warmup=3_000)
     expected = mm1_mean_sojourn(0.5, 1.0)

@@ -1,5 +1,7 @@
 """Config validation, strategy specs, and config-file parsing."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -144,6 +146,17 @@ def test_strategy_spec_rejects_bad_input():
         StrategySpec.parse("mincost:3")
     with pytest.raises(ConfigError):
         StrategySpec.parse("pss:abc")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_strategy_spec_rejects_non_finite_parameters(bad):
+    # int() of these raises OverflowError or a bare ValueError; a spec
+    # must name the problem as a ConfigError instead.
+    for kind in ("mcs", "pss", "wmc"):
+        with pytest.raises(ConfigError, match=kind):
+            StrategySpec(kind, bad)
+        with pytest.raises(ConfigError, match=kind):
+            StrategySpec.parse(f"{kind}:{bad}")
 
 
 def test_service_spec_parsing():

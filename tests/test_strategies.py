@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from cdnsim.engine import run_simulation
 from cdnsim.model import StrategySpec, default_config
 from cdnsim.popularity import candidate_table, proportional_placement, zipf_profile
-from cdnsim.strategies import MappingDecision, bind_strategy, mcs_prep
+from cdnsim.strategies import MappingDecision, _sample_ties, bind_strategy, mcs_prep
 from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
 
 
@@ -95,15 +95,44 @@ def test_mcs_probe_count_caps_at_candidate_count():
 def test_mcs_prep_boundary_classification():
     candidates = (0, 1, 2, 3, 4)
     costs = (1.0, 3.0, 3.0, 3.0, 0.5)
-    base, boundary, need = mcs_prep(candidates, costs, 3)
+    base, boundary, draws, pooled = mcs_prep(candidates, costs, 3)
     assert base == (0, 4)
     assert boundary == (1, 2, 3)
-    assert need == 1
+    # One pick below 3, a 2-bit draw, from Random.sample's pool branch.
+    assert draws == ((3, 2),)
+    assert pooled
     # Exact fit at the threshold collapses to a fixed probe set.
-    base, boundary, need = mcs_prep(candidates, (1.0, 3.0, 2.0, 5.0, 9.0), 3)
+    base, boundary, draws, pooled = mcs_prep(candidates, (1.0, 3.0, 2.0, 5.0, 9.0), 3)
     assert base == (0, 1, 2)
     assert boundary == ()
-    assert need == 0
+    assert draws == ()
+
+
+@st.composite
+def _tie_sample_sizes(draw):
+    n = draw(st.integers(2, 200))
+    return n, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(size=_tie_sample_sizes(), seed=st.integers(0, 2**64))
+# Each side of Random.sample's set-size cut: pool at n = 21 (k <= 5) and
+# at n = 85 (k = 6, setsize 21 + 64), set branch at n = 22 and n = 86.
+@example(size=(21, 5), seed=3)
+@example(size=(22, 5), seed=3)
+@example(size=(85, 6), seed=4)
+@example(size=(86, 6), seed=4)
+def test_mcs_tie_sampler_replays_random_sample(size, seed):
+    # The probes mcs draws from a cost tie of n servers are the picks of
+    # Random.sample on the same stream, in the same order, and leave the
+    # stream where sample leaves it.
+    n, k = size
+    candidates = tuple(range(0, 3 * n, 3))
+    base, boundary, draws, pooled = mcs_prep(candidates, (1.0,) * (3 * n), k)
+    assert base == () and boundary == candidates and len(draws) == k
+    rng, ref = Random(seed), Random(seed)
+    assert _sample_ties(boundary, draws, pooled, rng.getrandbits) == ref.sample(boundary, k)
+    assert rng.getstate() == ref.getstate()
 
 
 def test_mcs_boundary_sampling_is_uniform():
