@@ -14,6 +14,13 @@ file, and service sequences regardless of the strategy under test.
 A run is observed through one hook, called at every arrival after the
 strategy has chosen and before the job joins its server. The trace file
 is written by such a hook.
+
+For minqueue, pss with a switch probability above 0 and wmc, when some
+file's candidates are every server, the run also keeps a
+strategies.QueueIndex over the jobs-in-system vector: the jobs total for
+wmc, the servers bucketed by queue length with the lowest length for the
+others. Each arrival and departure updates it, and decisions on those
+files read it instead of scanning every queue.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .model import (
     validate_config,
 )
 from .popularity import candidate_table, proportional_placement, zipf_profile
-from .strategies import bind_strategy
+from .strategies import bind_strategy, queue_index
 from .topology import manhattan_cost_matrix, random_lattice_layout
 
 
@@ -128,11 +135,21 @@ def run_simulation(
     rows = cost_matrix.entries
     cands_by_file = candidate_table(allocation)
 
+    # Per-server state. njobs mirrors len(pending) plus the in-service job
+    # and is the queue vector strategies see.
+    pending = [deque() for _ in range(n_servers)]
+    in_service: list = [None] * n_servers
+    njobs = [0] * n_servers
+    njobs_total = 0
+    index = queue_index(strategy, cands_by_file, njobs)
+    buckets = None if index is None else index.buckets
+
     arr_rng = substream(run_seed, "arrivals")
     file_rng = substream(run_seed, "files")
     svc_rng = substream(run_seed, "service")
     decide = bind_strategy(
-        strategy, rows, cands_by_file, n_users, n_files, substream(run_seed, "strategy")
+        strategy, rows, cands_by_file, n_users, n_files, substream(run_seed, "strategy"),
+        queue_index=index,
     )
 
     hook = decision_hook if trace is None else _trace_hook(trace, decision_hook)
@@ -151,13 +168,6 @@ def run_simulation(
     # counted window; comparing its mean sojourn with the early half's gives
     # RunResult.wait_growth.
     late_from = warmup + n_counted // 2
-
-    # Per-server state. njobs mirrors len(pending) plus the in-service job
-    # and is the queue vector strategies see.
-    pending = [deque() for _ in range(n_servers)]
-    in_service: list = [None] * n_servers
-    njobs = [0] * n_servers
-    njobs_total = 0
 
     dep_heap: list = []
     seq = 0
@@ -215,6 +225,23 @@ def run_simulation(
                 in_service[k] = None
             njobs[k] -= 1
             njobs_total -= 1
+            if index is not None:
+                if buckets is None:
+                    index.total = njobs_total
+                else:
+                    # k moves from bucket q + 1 to bucket q.
+                    q = njobs[k]
+                    b = buckets[q + 1]
+                    b.remove(k)
+                    if not b:
+                        del buckets[q + 1]
+                    b = buckets.get(q)
+                    if b is None:
+                        buckets[q] = {k}
+                    else:
+                        b.add(k)
+                    if q < index.lowest:
+                        index.lowest = q
             if counted:
                 w = tdep - arrived_at
                 sum_wait += w
@@ -258,6 +285,23 @@ def run_simulation(
                 pending[k].append((t, counted, svc))
             njobs[k] += 1
             njobs_total += 1
+            if index is not None:
+                if buckets is None:
+                    index.total = njobs_total
+                else:
+                    # k moves from bucket q - 1 to bucket q.
+                    q = njobs[k]
+                    b = buckets[q - 1]
+                    b.remove(k)
+                    if not b:
+                        del buckets[q - 1]
+                        if index.lowest == q - 1:
+                            index.lowest = q
+                    b = buckets.get(q)
+                    if b is None:
+                        buckets[q] = {k}
+                    else:
+                        b.add(k)
             arrivals_done += 1
             if arrivals_done < horizon:
                 gap = -log(1.0 - arr_u()) / total_rate

@@ -4,8 +4,9 @@ Closed-form queueing results (M/M/1 sojourn, the power-of-d-choices mean
 queue) validate the event engine, and a brute-force search over all
 feasible assignment sequences of a tiny instance bounds every mapping
 strategy from below on a fixed trace. Strategies are replayed through
-strategies.bind_strategy, the same compiled decision path the engine runs;
-nothing here imports the engine itself.
+strategies.bind_strategy with the queue index the engine would keep, so
+they take the decision path the engine runs; nothing here imports the
+engine itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from .model import CacheAllocation, ConfigError, CostMatrix, ServiceSpec, StrategySpec
 from .popularity import candidate_table
-from .strategies import bind_strategy
+from .strategies import bind_strategy, queue_index
 
 
 def mm1_mean_sojourn(arrival_rate: float, service_rate: float) -> float:
@@ -185,14 +186,15 @@ def replay_strategy(
     """Run a mapping strategy over the instance's trace and score it with
     the same objective and service samples as the exhaustive search.
 
-    The strategy is bound once with bind_strategy, as in the engine, and
-    sees the true jobs-in-system vector at each arrival, so its decisions
-    may differ between sample paths.
+    The strategy sees the true jobs-in-system vector at each arrival, so
+    its decisions may differ between sample paths. At each arrival it is
+    bound with bind_strategy and the queue_index built from that vector,
+    so a file held by every server takes the engine's indexed path. prep
+    draws nothing, so a fresh binding decides as a warm one would.
     """
     if isinstance(strategy, str):
         strategy = StrategySpec.parse(strategy)
-    decide = bind_strategy(strategy, inst.cost.entries, candidate_table(inst.allocation),
-                           inst.cost.n_users, inst.allocation.n_files, rng)
+    table = candidate_table(inst.allocation)
     n_servers = inst.cost.n_servers
     objective = 0.0
     for services in sample_paths:
@@ -203,6 +205,9 @@ def replay_strategy(
         for j in range(inst.n_requests):
             t = inst.arrival_times[j]
             queues = [sum(1 for c in completion[k] if c > t) for k in range(n_servers)]
+            decide = bind_strategy(strategy, inst.cost.entries, table, inst.cost.n_users,
+                                   inst.allocation.n_files, rng,
+                                   queue_index=queue_index(strategy, table, queues))
             decision = decide(inst.users[j], inst.files[j], queues)
             k = decision.server
             start = free_at[k] if free_at[k] > t else t

@@ -19,6 +19,14 @@ minqueue. Only mcs can consume extra draws, and only when a random
 subset of cost-tied servers must be probed. It draws those probes from
 the stream's getrandbits exactly as Random.sample(boundary, need) would
 (_sample_ties), so the picks and every later draw are those of sample.
+
+Queue index: minqueue, the queue branch of pss and wmc read queue state
+across the whole candidate set. When a candidate tuple holds every
+server, they read a QueueIndex instead of scanning it: the servers of
+the lowest queue length, or the jobs total. queue_index decides when
+one is kept; the engine updates it at every event, and bind_strategy
+hands it to choose on that tuple only. Every other tuple, and every
+binding made without an index, scans the queue vector.
 """
 
 from __future__ import annotations
@@ -32,6 +40,61 @@ from .model import StrategySpec
 class MappingDecision(NamedTuple):
     server: int
     queries_used: int
+
+
+class QueueIndex:
+    """Jobs in system over all servers, in the parts a family reads.
+
+    With buckets, maps each queue length to the set of servers holding
+    that many jobs (no empty set is kept), and lowest is the smallest
+    such length. Without, total is the sum of the queue vector. The
+    constructor builds it from scratch; run_simulation keeps it current
+    in place at every arrival and departure.
+    """
+
+    __slots__ = ("n_servers", "total", "buckets", "lowest")
+
+    def __init__(self, queues: Sequence[int], *, buckets: bool) -> None:
+        self.n_servers = len(queues)
+        self.total = None
+        self.buckets = None
+        self.lowest = None
+        if buckets:
+            self.buckets = {}
+            for k, q in enumerate(queues):
+                self.buckets.setdefault(q, set()).add(k)
+            self.lowest = min(self.buckets)
+        else:
+            self.total = sum(queues)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QueueIndex):
+            return NotImplemented
+        return (self.n_servers, self.total, self.buckets, self.lowest) == (
+            other.n_servers, other.total, other.buckets, other.lowest)
+
+    def __repr__(self) -> str:
+        return (f"QueueIndex(n_servers={self.n_servers}, total={self.total}, "
+                f"buckets={self.buckets}, lowest={self.lowest})")
+
+
+def queue_index(spec: StrategySpec, candidates_by_file, queues: Sequence[int]):
+    """The QueueIndex over queues that spec reads, or None.
+
+    One is built only when the family reads queue state across a whole
+    candidate set (minqueue, pss with a switch probability above 0, wmc)
+    and some candidate tuple holds every server. wmc keeps only the
+    total; the others only the buckets.
+    """
+    if spec.kind == "wmc":
+        buckets = False
+    elif spec.kind == "minqueue" or (spec.kind == "pss" and spec.param > 0.0):
+        buckets = True
+    else:
+        return None
+    if tuple(range(len(queues))) not in candidates_by_file:
+        return None
+    return QueueIndex(queues, buckets=buckets)
 
 
 def _pick(options: Sequence[int], u: float) -> int:
@@ -69,19 +132,25 @@ def min_queue_prep(candidates: Sequence[int], costs, param) -> tuple[()]:
     return ()
 
 
-def min_queue_choose(candidates, static, queues, param, rng) -> MappingDecision:
-    """Least-loaded candidate; polls every candidate (len(candidates) queries)."""
-    ties = _argmin_set(candidates, queues)
+def min_queue_choose(candidates, static, queues, param, rng, index=None) -> MappingDecision:
+    """Least-loaded candidate; polls every candidate (len(candidates) queries).
+
+    index, given only when candidates hold every server, supplies the
+    least-loaded servers in ascending order, as a scan finds them."""
+    ties = _argmin_set(candidates, queues) if index is None else sorted(
+        index.buckets[index.lowest])
     return MappingDecision(_pick(ties, rng.random()), len(candidates))
 
 
-def pss_choose(candidates, cost_ties, queues, switch_prob, rng) -> MappingDecision:
+def pss_choose(candidates, cost_ties, queues, switch_prob, rng, index=None) -> MappingDecision:
     """Probabilistic switch: with probability switch_prob go least-loaded,
     otherwise cheapest. One uniform decides the branch and, rescaled to
-    its conditional distribution, breaks the tie of the chosen branch."""
+    its conditional distribution, breaks the tie of the chosen branch.
+    index is read as in min_queue_choose."""
     x = rng.random()
     if switch_prob > 0.0 and x <= switch_prob:
-        ties = _argmin_set(candidates, queues)
+        ties = _argmin_set(candidates, queues) if index is None else sorted(
+            index.buckets[index.lowest])
         return MappingDecision(_pick(ties, x / switch_prob), len(candidates))
     u = x if switch_prob >= 1.0 else (x - switch_prob) / (1.0 - switch_prob)
     return MappingDecision(_pick(cost_ties, u), 0)
@@ -106,11 +175,12 @@ def wmc_prep(
     return shares, tuple(sorted(range(len(shares)), key=shares.__getitem__))
 
 
-def wmc_choose(candidates, prep, queues, cost_weight: float, rng) -> MappingDecision:
+def wmc_choose(candidates, prep, queues, cost_weight: float, rng, index=None) -> MappingDecision:
     """Weighted mixed cost: score each candidate by a convex combination of
     its cost share and queue share over the candidate set, take the argmin.
     A zero normalizer drops that term for every candidate. Polls every
-    candidate (len(candidates) queries).
+    candidate (len(candidates) queries). index, given only when
+    candidates hold every server, supplies the queue normalizer.
 
     Candidates are scored in ascending share order. A score is its share
     plus a queue term >= 0, and rounding cannot take a float sum below
@@ -120,9 +190,12 @@ def wmc_choose(candidates, prep, queues, cost_weight: float, rng) -> MappingDeci
     finds. Ties go back into candidate order before the pick.
     """
     shares, order = prep
-    queue_total = 0
-    for k in candidates:
-        queue_total += queues[k]
+    if index is None:
+        queue_total = 0
+        for k in candidates:
+            queue_total += queues[k]
+    else:
+        queue_total = index.total
     load_weight = 1.0 - cost_weight
 
     best = math.inf
@@ -232,13 +305,18 @@ _FAMILIES = {
 }
 
 
-def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: int, n_files: int, rng):
+def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: int, n_files: int,
+                  rng, *, queue_index: QueueIndex | None = None):
     """Compile a spec into a per-request callable fn(user, file, queues).
 
     The family's prep runs on the first request of each (user, memo slot)
     and its result is kept for the rest of the run. prep depends on the
     file only through its candidate tuple, so files with equal tuples
     share one memo slot per user (at full replication, all do).
+
+    queue_index, from queue_index() and kept current by the caller, is
+    passed to choose on the slot whose tuple holds every server; every
+    other slot scans the queues it is called with.
     """
     try:
         prep, choose = _FAMILIES[spec.kind]
@@ -248,12 +326,19 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
     slot_of: dict[tuple[int, ...], int] = {}
     slot = [slot_of.setdefault(tuple(c), len(slot_of)) for c in candidates_by_file]
     memo: list[list] = [[None] * n_files for _ in range(n_users)]
+    index = queue_index
+    full = -1
+    if index is not None:
+        full = slot_of.get(tuple(range(index.n_servers)), -1)
 
     def decide(user: int, file_index: int, queues) -> MappingDecision:
         candidates = candidates_by_file[file_index]
-        static = memo[user][slot[file_index]]
+        s = slot[file_index]
+        static = memo[user][s]
         if static is None:
-            static = memo[user][slot[file_index]] = prep(candidates, cost_rows[user], param)
+            static = memo[user][s] = prep(candidates, cost_rows[user], param)
+        if s == full:
+            return choose(candidates, static, queues, param, rng, index)
         return choose(candidates, static, queues, param, rng)
 
     return decide

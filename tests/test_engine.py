@@ -2,6 +2,7 @@
 
 import io
 import math
+from unittest import mock
 from bisect import bisect_right
 from collections import deque
 from itertools import accumulate
@@ -24,7 +25,8 @@ from cdnsim.model import (
     uniform_rates,
 )
 from cdnsim.oracle import mm1_mean_sojourn
-from cdnsim.popularity import zipf_profile
+from cdnsim.popularity import candidate_table, proportional_placement, zipf_profile
+from cdnsim.strategies import QueueIndex, queue_index
 from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
 
 
@@ -441,6 +443,79 @@ def test_shadow_fifo_agrees_with_engine_for_every_family():
             n = len(shadow.sojourns)
             assert result.avg_wait == pytest.approx(math.fsum(shadow.sojourns) / n, rel=1e-12)
             assert result.avg_queries == shadow.queries / n
+
+
+class IndexSpy:
+    """Stands in for engine.queue_index: builds the index as the engine
+    would and keeps it, so a decision_hook can read the engine's copy."""
+
+    def __init__(self):
+        self.built = []
+
+    def __call__(self, spec, candidates_by_file, queues):
+        index = queue_index(spec, candidates_by_file, queues)
+        self.built.append(index)
+        return index
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from(("minqueue", "pss:0.5", "wmc:0.5")),
+    service=st.sampled_from(("exp:1", "const:1")),
+    n_servers=st.integers(1, 40),
+    n_users=st.integers(1, 4),
+    n_files=st.integers(1, 4),
+    load=st.floats(0.3, 1.5),
+    seed=st.integers(0, 2**32),
+)
+def test_engine_queue_index_matches_a_rebuild_at_every_arrival(
+        strategy, service, n_servers, n_users, n_files, load, seed):
+    # At full replication the engine keeps a queue index; at every arrival
+    # it must equal the index built from scratch over the queue vector the
+    # strategy sees. Loads above 1 grow queues, so buckets come and go.
+    cfg = default_config(n_servers=n_servers, n_users=n_users, n_files=n_files,
+                         cache_size=n_files, horizon_events=400,
+                         arrival_rates=uniform_rates(n_users, load * n_servers / n_users),
+                         service=ServiceSpec.parse(service))
+    spy = IndexSpy()
+    buckets = not strategy.startswith("wmc")
+    seen = []
+
+    def hook(t, user, fidx, cands, queues, decision):
+        assert spy.built[0] == QueueIndex(queues, buckets=buckets)
+        seen.append(spy.built[0].lowest if buckets else spy.built[0].total)
+
+    with mock.patch.object(engine, "queue_index", spy):
+        run_simulation(cfg, strategy, seed, decision_hook=hook)
+    assert len(spy.built) == 1 and spy.built[0] is not None
+    assert len(seen) == 400
+
+
+def test_engine_keeps_no_queue_index_where_no_decision_reads_one():
+    # mincost, mcs and pss:0 never read a whole candidate set's queues,
+    # and without a tuple of every server no decision can use the index.
+    full = default_config(cache_size=70, horizon_events=200)
+    partial = default_config(cache_size=8, horizon_events=200)
+    cases = [(full, s) for s in ("mincost", "mcs:2", "mcs:200", "pss:0")]
+    cases += [(partial, s) for s in ("minqueue", "pss:0.5", "wmc:0.5")]
+    for cfg, strategy in cases:
+        spy = IndexSpy()
+        with mock.patch.object(engine, "queue_index", spy):
+            run_simulation(cfg, strategy, 3)
+        assert spy.built == [None], strategy
+    allocation = proportional_placement(zipf_profile(70, 0.0), 100, 8, Random(3))
+    table = candidate_table(allocation)
+    assert tuple(range(100)) not in table
+    for strategy in ("minqueue", "pss:0.5", "wmc:0.5"):
+        assert queue_index(StrategySpec.parse(strategy), table, [0] * 100) is None
+    # With no warmup every job is followed to its departure, so the index
+    # ends where it began: the empty system.
+    spy = IndexSpy()
+    with mock.patch.object(engine, "queue_index", spy):
+        run_simulation(full, "minqueue", 3)
+        run_simulation(full, "wmc:0.5", 3)
+    assert spy.built[0] == QueueIndex([0] * 100, buckets=True)
+    assert spy.built[1] == QueueIndex([0] * 100, buckets=False)
 
 
 def test_average_queries_per_strategy_family():

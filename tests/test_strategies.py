@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from cdnsim.engine import run_simulation
 from cdnsim.model import StrategySpec, default_config
 from cdnsim.popularity import candidate_table, proportional_placement, zipf_profile
-from cdnsim.strategies import MappingDecision, _sample_ties, bind_strategy, mcs_prep
+from cdnsim.strategies import MappingDecision, _sample_ties, bind_strategy, mcs_prep, queue_index
 from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
 
 
@@ -463,6 +463,26 @@ def test_bind_strategy_wmc_at_full_replication_matches_reference_scoring():
         for user, fidx, queues in states:
             assert decide(user, fidx, queues) == _wmc_reference(
                 cands[fidx], rows[user], queues, weight, ref_rng)
+        assert bound_rng.getstate() == ref_rng.getstate()
+
+    # The same states through the engine's queue index, rebuilt from each
+    # state: minqueue and the queue branch of pss take the lowest bucket,
+    # wmc the jobs total, and none of them scans.
+    references = {
+        "minqueue": lambda c, costs, q, rng: _min_queue_reference(c, q, rng),
+        "pss:0.5": lambda c, costs, q, rng: _pss_reference(c, costs, q, 0.5, rng),
+        "wmc:0.5": lambda c, costs, q, rng: _wmc_reference(c, costs, q, 0.5, rng),
+    }
+    for name, reference in references.items():
+        spec = StrategySpec.parse(name)
+        bound_rng, ref_rng = Random(name), Random(name)
+        for user, fidx, queues in states:
+            index = queue_index(spec, cands, queues)
+            assert index is not None
+            decide = bind_strategy(spec, rows, cands, cfg.n_users, cfg.n_files, bound_rng,
+                                   queue_index=index)
+            assert decide(user, fidx, queues) == reference(cands[fidx], rows[user], queues,
+                                                           ref_rng)
         assert bound_rng.getstate() == ref_rng.getstate()
 
 
