@@ -135,13 +135,7 @@ def run_simulation(
     rows = cost_matrix.entries
     cands_by_file = candidate_table(allocation)
 
-    # Per-server state. njobs mirrors len(pending) plus the in-service job
-    # and is the queue vector strategies see.
-    pending = [deque() for _ in range(n_servers)]
-    in_service: list = [None] * n_servers
-    njobs = [0] * n_servers
-    njobs_total = 0
-    index = queue_index(strategy, cands_by_file, njobs)
+    index = queue_index(strategy, cands_by_file, [0] * n_servers)
     buckets = None if index is None else index.buckets
 
     arr_rng = substream(run_seed, "arrivals")
@@ -168,6 +162,13 @@ def run_simulation(
     # counted window; comparing its mean sojourn with the early half's gives
     # RunResult.wait_growth.
     late_from = warmup + n_counted // 2
+
+    # Per-server state. njobs mirrors len(pending) plus the in-service job
+    # and is the queue vector strategies see.
+    pending = [deque() for _ in range(n_servers)]
+    in_service: list = [None] * n_servers
+    njobs = [0] * n_servers
+    njobs_total = 0
 
     dep_heap: list = []
     seq = 0
@@ -235,11 +236,7 @@ def run_simulation(
                     b.remove(k)
                     if not b:
                         del buckets[q + 1]
-                    b = buckets.get(q)
-                    if b is None:
-                        buckets[q] = {k}
-                    else:
-                        b.add(k)
+                    buckets[q].add(k)
                     if q < index.lowest:
                         index.lowest = q
             if counted:
@@ -297,11 +294,7 @@ def run_simulation(
                         del buckets[q - 1]
                         if index.lowest == q - 1:
                             index.lowest = q
-                    b = buckets.get(q)
-                    if b is None:
-                        buckets[q] = {k}
-                    else:
-                        b.add(k)
+                    buckets[q].add(k)
             arrivals_done += 1
             if arrivals_done < horizon:
                 gap = -log(1.0 - arr_u()) / total_rate

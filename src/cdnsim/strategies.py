@@ -32,6 +32,7 @@ binding made without an index, scans the queue vector.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from typing import NamedTuple, Sequence
 
 from .model import StrategySpec
@@ -46,8 +47,8 @@ class QueueIndex:
     """Jobs in system over all servers, in the parts a family reads.
 
     With buckets, maps each queue length to the set of servers holding
-    that many jobs (no empty set is kept), and lowest is the smallest
-    such length. Without, total is the sum of the queue vector. The
+    that many jobs (a defaultdict(set); an emptied set is deleted), and
+    lowest is the smallest such length. Without, total is the sum of the queue vector. The
     constructor builds it from scratch; run_simulation keeps it current
     in place at every arrival and departure.
     """
@@ -60,9 +61,9 @@ class QueueIndex:
         self.buckets = None
         self.lowest = None
         if buckets:
-            self.buckets = {}
+            self.buckets = defaultdict(set)
             for k, q in enumerate(queues):
-                self.buckets.setdefault(q, set()).add(k)
+                self.buckets[q].add(k)
             self.lowest = min(self.buckets)
         else:
             self.total = sum(queues)
