@@ -48,9 +48,9 @@ class QueueIndex:
 
     With buckets, maps each queue length to the set of servers holding
     that many jobs (a defaultdict(set); an emptied set is deleted), and
-    lowest is the smallest such length. Without, total is the sum of the queue vector. The
-    constructor builds it from scratch; run_simulation keeps it current
-    in place at every arrival and departure.
+    lowest is the smallest such length. Without, total is the sum of the
+    queue vector. The constructor builds it from scratch; run_simulation
+    keeps it current in place at every arrival and departure.
     """
 
     __slots__ = ("n_servers", "total", "buckets", "lowest")
@@ -327,10 +327,7 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
     slot_of: dict[tuple[int, ...], int] = {}
     slot = [slot_of.setdefault(tuple(c), len(slot_of)) for c in candidates_by_file]
     memo: list[list] = [[None] * n_files for _ in range(n_users)]
-    index = queue_index
-    full = -1
-    if index is not None:
-        full = slot_of.get(tuple(range(index.n_servers)), -1)
+    full = -1 if queue_index is None else slot_of.get(tuple(range(queue_index.n_servers)), -1)
 
     def decide(user: int, file_index: int, queues) -> MappingDecision:
         candidates = candidates_by_file[file_index]
@@ -339,7 +336,7 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
         if static is None:
             static = memo[user][s] = prep(candidates, cost_rows[user], param)
         if s == full:
-            return choose(candidates, static, queues, param, rng, index)
+            return choose(candidates, static, queues, param, rng, queue_index)
         return choose(candidates, static, queues, param, rng)
 
     return decide

@@ -2,11 +2,11 @@
 
 import io
 import math
-from unittest import mock
 from bisect import bisect_right
 from collections import deque
 from itertools import accumulate
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
