@@ -388,9 +388,16 @@ def _main_oracle_check(argv) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cost-weights", default="0,0.5,1")
     args = parser.parse_args(argv)
+    try:
+        weights = [float(w) for w in args.cost_weights.split(",")]
+    except ValueError:
+        raise ConfigError(f"cost weight list {args.cost_weights!r} has a non-numeric value") from None
+    if not all(0.0 <= w <= 1.0 for w in weights):
+        raise ConfigError(f"cost weights must lie in [0, 1], got {args.cost_weights}")
+    if args.instances < 1:
+        raise ConfigError("--instances must be >= 1")
 
     rng = Random(args.seed)
-    weights = [float(w) for w in args.cost_weights.split(",")]
     policies = ["mincost", "minqueue", "pss:0.5", "wmc:0.5", "mcs:2"]
     failures = 0
     for i in range(args.instances):

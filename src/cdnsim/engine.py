@@ -3,8 +3,11 @@
 One run: Poisson request arrivals superposed over all users, each request
 mapped to a candidate server by the configured strategy, FIFO service at
 every server, drain after the final arrival until every counted job has
-departed. Events are processed in nondecreasing time order with
-departures ahead of arrivals at equal timestamps.
+departed. Each job's departure is fixed at its arrival by the FIFO
+recursion max(arrival, previous departure at its server) + service
+(Lindley, 1952). Events run in nondecreasing time order: departures ahead
+of arrivals at equal times, equal departure times by server, then by
+arrival.
 
 All randomness of a run derives from one 64-bit run seed, split into
 fixed named sub-streams (layout, placement, arrivals, files, service,
@@ -28,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_right
-from collections import deque
 from heapq import heappop, heappush
 from itertools import accumulate
 from random import Random
@@ -163,15 +165,14 @@ def run_simulation(
     # RunResult.wait_growth.
     late_from = warmup + n_counted // 2
 
-    # Per-server state. njobs mirrors len(pending) plus the in-service job
-    # and is the queue vector strategies see.
-    pending = [deque() for _ in range(n_servers)]
-    in_service: list = [None] * n_servers
+    # Per-server state: free_at[k] is when server k's last job departs;
+    # njobs[k] counts server k's jobs on the departure heap and is the queue
+    # vector strategies see. Heap entries: (departure, server, arrived_at, window).
+    free_at = [0.0] * n_servers
     njobs = [0] * n_servers
     njobs_total = 0
 
     dep_heap: list = []
-    seq = 0
 
     sum_cost = 0.0
     sum_wait = 0.0
@@ -210,20 +211,11 @@ def run_simulation(
     arrivals_done = 0
 
     while True:
-        if dep_heap and (arrivals_done >= horizon or dep_heap[0][0] <= next_t):
-            tdep, _, k = pop(dep_heap)
+        if dep_heap and dep_heap[0][0] <= next_t:
+            tdep, k, arrived_at, counted = pop(dep_heap)
             if measuring:
                 area += njobs_total * (tdep - t_last)
                 t_last = tdep
-            arrived_at, counted = in_service[k]
-            q = pending[k]
-            if q:
-                nxt = q.popleft()
-                in_service[k] = (nxt[0], nxt[1])
-                seq += 1
-                push(dep_heap, (tdep + nxt[2], seq, k))
-            else:
-                in_service[k] = None
             njobs[k] -= 1
             njobs_total -= 1
             if index is not None:
@@ -274,12 +266,11 @@ def run_simulation(
                 counted_outstanding += 1
             if hook is not None:
                 hook(t, next_user, fidx, cands_by_file[fidx], njobs, decision)
-            if in_service[k] is None:
-                in_service[k] = (t, counted)
-                seq += 1
-                push(dep_heap, (t + svc, seq, k))
-            else:
-                pending[k].append((t, counted, svc))
+            start = free_at[k]
+            if start < t:
+                start = t
+            free_at[k] = done = start + svc
+            push(dep_heap, (done, k, t, counted))
             njobs[k] += 1
             njobs_total += 1
             if index is not None:

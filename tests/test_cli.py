@@ -187,8 +187,12 @@ def test_main_errors_are_reported_not_raised(tmp_path, capsys):
     # unreadable config path
     assert main(["--config", str(tmp_path / "absent.cfg"), "--strategy", "mincost",
                  "--out", str(out)]) == 2
+    # oracle-check weights outside [0, 1] or not numbers, and no instances
+    for weights in ("x", "2", "nan"):
+        assert main(["oracle-check", "--cost-weights", weights]) == 2
+    assert main(["oracle-check", "--instances", "0"]) == 2
     err = capsys.readouterr().err
-    assert err.count("simulate: error:") == 3
+    assert err.count("simulate: error:") == 7
 
 
 def test_main_rejects_non_finite_mcs_counts(tmp_path, capsys):

@@ -4,7 +4,7 @@ import io
 import math
 from bisect import bisect_right
 from collections import deque
-from itertools import accumulate
+from itertools import accumulate, product
 from random import Random
 from unittest import mock
 
@@ -432,14 +432,18 @@ class ShadowFifo:
 
 
 def test_shadow_fifo_agrees_with_engine_for_every_family():
-    for service in ("exp:1", "const:0.9"):
+    # Per-user rate 1.3 overloads the 5 servers: backlogs reach hundreds of
+    # jobs, so the departure heap holds many queued jobs per server.
+    for rate, service in product((0.9, 1.3), ("exp:1", "const:0.9")):
         cfg = default_config(n_servers=5, n_users=5, n_files=10, cache_size=3,
                              horizon_events=3_000, warmup_events=300,
+                             arrival_rates=uniform_rates(5, rate),
                              service=ServiceSpec.parse(service))
         for strat in ("mincost", "minqueue", "pss:0.5", "wmc:0.3", "mcs:2"):
             shadow = ShadowFifo(cfg, 14)
             result = run_simulation(cfg, strat, 14, decision_hook=shadow)
             assert shadow.arrivals == 3_000
+            assert rate < 1 or result.overloaded
             n = len(shadow.sojourns)
             assert result.avg_wait == pytest.approx(math.fsum(shadow.sojourns) / n, rel=1e-12)
             assert result.avg_queries == shadow.queries / n
