@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from random import Random
 
-from .engine import mix_seed, run_simulation, substream
+from .engine import mix_seed, run_inputs, run_simulation, substream
 from .metrics import AggregateResult, aggregate_runs
 from .model import (
     ConfigError,
@@ -349,17 +349,12 @@ def _run_traced_point(cfg, sweep, matrix, args):
     [(point_cfg, strategy)] = _point_setup(cfg, sweep)
     run_seed = mix_seed(sweep.base_seed, 0, 0)
 
-    # Materialize the allocation the run would draw so it can be dumped.
+    allocation = None
     if args.fixed_topology:
         matrix, placements = _fixed_topology(cfg, sweep, matrix)
         allocation = placements[m]
-    else:
-        allocation = proportional_placement(
-            zipf_profile(point_cfg.n_files, point_cfg.zipf_beta),
-            point_cfg.n_servers,
-            m,
-            substream(run_seed, "placement"),
-        )
+    # Materialize what the run would draw so the allocation can be dumped.
+    matrix, allocation = run_inputs(point_cfg, run_seed, cost_matrix=matrix, allocation=allocation)
     if args.dump_placement:
         with open(args.dump_placement, "w", encoding="utf-8") as fh:
             for k, files in enumerate(allocation.server_files):

@@ -2,12 +2,12 @@
 
 One run: Poisson request arrivals superposed over all users, each request
 mapped to a candidate server by the configured strategy, FIFO service at
-every server, drain after the final arrival until every counted job has
-departed. Each job's departure is fixed at its arrival by the FIFO
+every server. Each job's departure is fixed at its arrival by the FIFO
 recursion max(arrival, previous departure at its server) + service
-(Lindley, 1952). Events run in nondecreasing time order: departures ahead
-of arrivals at equal times, equal departure times by server, then by
-arrival.
+(Lindley, 1952), so a counted job's sojourn is summed when it arrives and
+the run stops at the last arrival; the counted window still ends at the
+last counted departure. Departures at or before an arrival's time leave
+their queues before that arrival is mapped.
 
 All randomness of a run derives from one 64-bit run seed, split into
 fixed named sub-streams (layout, placement, arrivals, files, service,
@@ -86,31 +86,12 @@ def _trace_hook(trace, decision_hook):
     return hook
 
 
-def run_simulation(
-    cfg: SimConfig,
-    strategy: StrategySpec | str,
-    run_seed: int,
-    *,
-    cost_matrix=None,
-    allocation=None,
-    trace=None,
-    decision_hook=None,
-) -> RunResult:
-    """Simulate exactly cfg.horizon_events arrivals and return the averages
-    over the counted window (arrivals after the warmup, followed to their
-    departures).
+def run_inputs(cfg: SimConfig, run_seed: int, *, cost_matrix=None, allocation=None):
+    """The (cost_matrix, allocation) pair of one run of a validated cfg.
 
-    cost_matrix and allocation are drawn from the run seed unless injected.
-    decision_hook(time, user, file, candidates, queues, decision) is called
-    on every arrival once the strategy has chosen, before the job joins, so
-    queues[decision.server] excludes it. trace, when given, receives one
-    text line per arrival from that same call, before decision_hook:
-    time,user,file,server,queue_len_seen,queries.
+    Each piece not given is drawn from its named sub-stream of the run seed
+    (layout, placement); a given one must match cfg's shape.
     """
-    validate_config(cfg)
-    if isinstance(strategy, str):
-        strategy = StrategySpec.parse(strategy)
-
     n_servers = cfg.n_servers
     n_users = cfg.n_users
     n_files = cfg.n_files
@@ -126,14 +107,51 @@ def run_simulation(
             f"config needs {n_users}x{n_servers}"
         )
 
-    profile = zipf_profile(n_files, cfg.zipf_beta)
     if allocation is None:
         allocation = proportional_placement(
-            profile, n_servers, cfg.cache_size, substream(run_seed, "placement")
+            zipf_profile(n_files, cfg.zipf_beta), n_servers, cfg.cache_size,
+            substream(run_seed, "placement"),
         )
     elif allocation.n_servers != n_servers or allocation.n_files != n_files:
         raise ConfigError("allocation does not match the configured system size")
+    elif allocation.cache_size != cfg.cache_size:
+        raise ConfigError(
+            f"allocation caches {allocation.cache_size} files per server, "
+            f"config has cache_size {cfg.cache_size}"
+        )
+    return cost_matrix, allocation
 
+
+def run_simulation(
+    cfg: SimConfig,
+    strategy: StrategySpec | str,
+    run_seed: int,
+    *,
+    cost_matrix=None,
+    allocation=None,
+    trace=None,
+    decision_hook=None,
+) -> RunResult:
+    """Simulate exactly cfg.horizon_events arrivals and return the averages
+    over the counted window: the arrivals after the warmup, each followed to
+    its departure. The run stops at the last arrival; the window spans the
+    first counted arrival to the last counted departure.
+
+    cost_matrix and allocation are drawn from the run seed unless injected
+    (see run_inputs). decision_hook(time, user, file, candidates, queues,
+    decision) is called on every arrival once the strategy has chosen,
+    before the job joins, so queues[decision.server] excludes it. trace,
+    when given, receives one text line per arrival from that same call,
+    before decision_hook: time,user,file,server,queue_len_seen,queries.
+    """
+    validate_config(cfg)
+    if isinstance(strategy, str):
+        strategy = StrategySpec.parse(strategy)
+
+    n_servers = cfg.n_servers
+    cost_matrix, allocation = run_inputs(
+        cfg, run_seed, cost_matrix=cost_matrix, allocation=allocation
+    )
     rows = cost_matrix.entries
     cands_by_file = candidate_table(allocation)
 
@@ -144,7 +162,7 @@ def run_simulation(
     file_rng = substream(run_seed, "files")
     svc_rng = substream(run_seed, "service")
     decide = bind_strategy(
-        strategy, rows, cands_by_file, n_users, n_files, substream(run_seed, "strategy"),
+        strategy, rows, cands_by_file, cfg.n_users, cfg.n_files, substream(run_seed, "strategy"),
         queue_index=index,
     )
 
@@ -155,7 +173,7 @@ def run_simulation(
     # cumulative probability is pinned to 1.0.
     cum_rates = list(accumulate(cfg.arrival_rates))
     total_rate = cum_rates[-1]
-    cum_probs = profile.cumulative()
+    cum_probs = zipf_profile(cfg.n_files, cfg.zipf_beta).cumulative()
 
     horizon = cfg.horizon_events
     warmup = cfg.warmup_events
@@ -167,24 +185,21 @@ def run_simulation(
 
     # Per-server state: free_at[k] is when server k's last job departs;
     # njobs[k] counts server k's jobs on the departure heap and is the queue
-    # vector strategies see. Heap entries: (departure, server, arrived_at, window).
+    # vector strategies see. Heap entries: (departure, server). A job's
+    # sojourn is summed when it arrives, so a departure only leaves its queue.
     free_at = [0.0] * n_servers
     njobs = [0] * n_servers
-    njobs_total = 0
-
     dep_heap: list = []
+    # Departures of the warmup jobs still in system at the first counted arrival.
+    carried = []
 
     sum_cost = 0.0
     sum_wait = 0.0
     sum_wait_early = 0.0
     sum_wait_late = 0.0
     sum_queries = 0
-    counted_outstanding = 0
-    counted_departures = 0
 
-    measuring = False
-    area = 0.0
-    t_last = 0.0
+    t = 0.0
     t_meas_start = 0.0
     t_meas_end = 0.0
 
@@ -200,27 +215,16 @@ def run_simulation(
     svc_u = svc_rng.random
     service_is_exp = cfg.service.kind == "exp"
     svc_param = cfg.service.value
-    INF = float("inf")
-    # Window tag carried by every job: warmup jobs are not counted; counted
-    # jobs belong to the early or the late half of the counted window.
-    UNCOUNTED, EARLY, LATE = 0, 1, 2
 
-    gap = -log(1.0 - arr_u()) / total_rate
-    next_user = bis(cum_rates, arr_u() * total_rate)
-    next_t = gap
-    arrivals_done = 0
-
-    while True:
-        if dep_heap and dep_heap[0][0] <= next_t:
-            tdep, k, arrived_at, counted = pop(dep_heap)
-            if measuring:
-                area += njobs_total * (tdep - t_last)
-                t_last = tdep
+    for i in range(horizon):
+        t += -log(1.0 - arr_u()) / total_rate
+        user = bis(cum_rates, arr_u() * total_rate)
+        while dep_heap and dep_heap[0][0] <= t:
+            k = pop(dep_heap)[1]
             njobs[k] -= 1
-            njobs_total -= 1
             if index is not None:
                 if buckets is None:
-                    index.total = njobs_total
+                    index.total -= 1
                 else:
                     # k moves from bucket q + 1 to bucket q.
                     q = njobs[k]
@@ -231,76 +235,50 @@ def run_simulation(
                     buckets[q].add(k)
                     if q < index.lowest:
                         index.lowest = q
-            if counted:
-                w = tdep - arrived_at
-                sum_wait += w
-                if counted == LATE:
-                    sum_wait_late += w
-                else:
-                    sum_wait_early += w
-                counted_departures += 1
-                counted_outstanding -= 1
-                if counted_outstanding == 0 and arrivals_done >= horizon:
-                    t_meas_end = tdep
-                    break
-        elif arrivals_done < horizon:
-            t = next_t
-            if measuring:
-                area += njobs_total * (t - t_last)
-                t_last = t
-            x = file_u()
-            fidx = bis(cum_probs, x)
-            svc = -log(1.0 - svc_u()) / svc_param if service_is_exp else svc_param
-            decision = decide(next_user, fidx, njobs)
-            k = decision.server
-            if arrivals_done < warmup:
-                counted = UNCOUNTED
+        fidx = bis(cum_probs, file_u())
+        svc = -log(1.0 - svc_u()) / svc_param if service_is_exp else svc_param
+        decision = decide(user, fidx, njobs)
+        k = decision.server
+        if hook is not None:
+            hook(t, user, fidx, cands_by_file[fidx], njobs, decision)
+        start = free_at[k]
+        if start < t:
+            start = t
+        free_at[k] = done = start + svc
+        if i >= warmup:
+            if i == warmup:
+                t_meas_start = t
+                carried = [d for d, _ in dep_heap]
+            w = done - t
+            sum_wait += w
+            if i < late_from:
+                sum_wait_early += w
             else:
-                counted = EARLY if arrivals_done < late_from else LATE
-                if not measuring:
-                    measuring = True
-                    t_meas_start = t
-                    t_last = t
-                sum_cost += rows[next_user][k]
-                sum_queries += decision.queries_used
-                counted_outstanding += 1
-            if hook is not None:
-                hook(t, next_user, fidx, cands_by_file[fidx], njobs, decision)
-            start = free_at[k]
-            if start < t:
-                start = t
-            free_at[k] = done = start + svc
-            push(dep_heap, (done, k, t, counted))
-            njobs[k] += 1
-            njobs_total += 1
-            if index is not None:
-                if buckets is None:
-                    index.total = njobs_total
-                else:
-                    # k moves from bucket q - 1 to bucket q.
-                    q = njobs[k]
-                    b = buckets[q - 1]
-                    b.remove(k)
-                    if not b:
-                        del buckets[q - 1]
-                        if index.lowest == q - 1:
-                            index.lowest = q
-                    buckets[q].add(k)
-            arrivals_done += 1
-            if arrivals_done < horizon:
-                gap = -log(1.0 - arr_u()) / total_rate
-                next_user = bis(cum_rates, arr_u() * total_rate)
-                next_t = t + gap
+                sum_wait_late += w
+            sum_cost += rows[user][k]
+            sum_queries += decision.queries_used
+            if done > t_meas_end:
+                t_meas_end = done
+        push(dep_heap, (done, k))
+        njobs[k] += 1
+        if index is not None:
+            if buckets is None:
+                index.total += 1
             else:
-                next_t = INF
-        else:
-            break
+                # k moves from bucket q - 1 to bucket q.
+                q = njobs[k]
+                b = buckets[q - 1]
+                b.remove(k)
+                if not b:
+                    del buckets[q - 1]
+                    if index.lowest == q - 1:
+                        index.lowest = q
+                buckets[q].add(k)
 
-    assert arrivals_done == horizon, "simulation ended before the horizon"
-    assert counted_departures == n_counted, (
-        f"counted {counted_departures} departures for {n_counted} counted arrivals"
-    )
-
+    # Jobs in system integrated over the window: every counted sojourn lies
+    # inside it, and a carried warmup job counts until it departs or the
+    # window ends.
+    area = sum_wait + sum(min(d, t_meas_end) - t_meas_start for d in carried)
     span = t_meas_end - t_meas_start
     avg_jobs = area / (span * n_servers) if span > 0.0 else 0.0
     n_early = n_counted // 2

@@ -308,6 +308,50 @@ def test_littles_law_relates_jobs_and_sojourn():
     assert abs(lhs - rhs) / rhs < 0.1
 
 
+def _jobs_in_system_reference(arrivals, service, warmup, n_servers):
+    # Mean jobs per server over [first counted arrival, last counted
+    # departure], by sweeping every arrival and FIFO departure in time order.
+    # Also says whether some job was still in system at the window's end.
+    free_at = [0.0] * n_servers
+    events, counted_ends = [], []
+    for i, (t, k) in enumerate(arrivals):
+        free_at[k] = done = max(t, free_at[k]) + service
+        events += [(t, 1), (done, -1)]
+        if i >= warmup:
+            counted_ends.append(done)
+    start, end = arrivals[warmup][0], max(counted_ends)
+    area, jobs, last = 0.0, 0, start
+    for s, step in sorted(events):
+        if s > start:
+            s = min(s, end)
+            area += jobs * (s - last)
+            last = s
+        jobs += step
+    return area / ((end - start) * n_servers), max(d for d, step in events if step < 0) > end
+
+
+def test_avg_jobs_integrates_jobs_in_system_over_the_counted_window():
+    # Two servers with one file each, so every job's server is fixed by its
+    # file. With one counted arrival the window is that job's sojourn, and a
+    # warmup job at the other server often outlives it.
+    alloc = CacheAllocation.from_sets([{0}, {1}], n_files=2)
+    horizon = 20
+    outlived = 0
+    for warmup in (0, horizon // 2, horizon - 1):
+        cfg = SimConfig(n_servers=2, n_users=2, n_files=2, cache_size=1,
+                        arrival_rates=uniform_rates(2, 0.9), service=ServiceSpec("const", 1.0),
+                        horizon_events=horizon, warmup_events=warmup, lattice_side=3)
+        for seed in range(40):
+            seen = []
+            result = run_simulation(cfg, "mincost", seed, allocation=alloc,
+                                    decision_hook=lambda t, u, f, c, q, d: seen.append(
+                                        (t, d.server)))
+            expected, past_end = _jobs_in_system_reference(seen, 1.0, warmup, 2)
+            assert result.avg_jobs == pytest.approx(expected, rel=1e-12), (warmup, seed)
+            outlived += past_end
+    assert outlived >= 10
+
+
 def test_same_seed_reproduces_bit_identical_results():
     cfg = default_config(horizon_events=5_000)
     a = run_simulation(cfg, "pss:0.5", 11)
@@ -384,6 +428,14 @@ def test_injected_pieces_must_match_config_shape():
         run_simulation(
             cfg, "mincost", 0,
             allocation=CacheAllocation.from_sets([{0}, {0}], n_files=1),
+        )
+    # Right shape, wrong cache size: two files per server where cfg says one.
+    cfg = SimConfig(n_servers=2, n_users=1, n_files=2, cache_size=1, arrival_rates=(0.5,),
+                    service=ServiceSpec("const", 1.0), horizon_events=10)
+    with pytest.raises(ConfigError, match="caches 2 files per server.*cache_size 1"):
+        run_simulation(
+            cfg, "mincost", 0,
+            allocation=CacheAllocation.from_sets([{0, 1}, {0, 1}], n_files=2),
         )
 
 
@@ -512,14 +564,6 @@ def test_engine_keeps_no_queue_index_where_no_decision_reads_one():
     assert tuple(range(100)) not in table
     for strategy in ("minqueue", "pss:0.5", "wmc:0.5"):
         assert queue_index(StrategySpec.parse(strategy), table, [0] * 100) is None
-    # With no warmup every job is followed to its departure, so the index
-    # ends where it began: the empty system.
-    spy = IndexSpy()
-    with mock.patch.object(engine, "queue_index", spy):
-        run_simulation(full, "minqueue", 3)
-        run_simulation(full, "wmc:0.5", 3)
-    assert spy.built[0] == QueueIndex([0] * 100, buckets=True)
-    assert spy.built[1] == QueueIndex([0] * 100, buckets=False)
 
 
 def test_average_queries_per_strategy_family():
