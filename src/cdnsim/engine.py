@@ -14,9 +14,9 @@ fixed named sub-streams (layout, placement, arrivals, files, service,
 strategy) so that two runs with the same seed see identical arrival,
 file, and service sequences regardless of the strategy under test.
 
-A run is observed through one hook, called at every arrival after the
-strategy has chosen and before the job joins its server. The trace file
-is written by such a hook.
+A run is observed through one hook, called at every arrival with the
+MappingDecision the bound strategy returned, before the job joins its
+server. The trace file is written by such a hook.
 
 For minqueue, pss with a switch probability above 0 and wmc, when some
 file's candidates are every server, the run also keeps a
@@ -139,7 +139,7 @@ def run_simulation(
 
     cost_matrix and allocation are drawn from the run seed unless injected
     (see run_inputs). decision_hook(time, user, file, candidates, queues,
-    decision) is called on every arrival once the strategy has chosen,
+    decision) is called on every arrival once the strategy has decided,
     before the job joins, so queues[decision.server] excludes it. trace,
     when given, receives one text line per arrival from that same call,
     before decision_hook: time,user,file,server,queue_len_seen,queries.

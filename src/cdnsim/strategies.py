@@ -1,13 +1,15 @@
 """The five request-mapping strategies.
 
-Each family is a pair of functions. prep(candidates, costs, param) builds
-the static part of a decision from the requesting user's cost row, which
-is fixed within a run. choose(candidates, static, queues, param, rng)
-makes the decision from that static part and the current jobs-in-system
-vector, and returns a MappingDecision naming the chosen server and how
-many queue-state queries the choice needed. bind_strategy is the only
-entry point: it runs prep once per (user, memo slot) and choose on every
-request.
+bind_strategy compiles a spec into one closure per run, fn(user, file,
+queues), that makes each decision in a single call: it looks up the static
+part of the decision, chooses, breaks the tie and returns a
+MappingDecision naming the chosen server and how many queue-state queries
+the choice needed. The static part comes from the family's prep(candidates,
+costs, param), built from the requesting user's cost row (fixed within a
+run) on the first request of each (user, memo slot) and kept. Decisions
+are prebuilt, one row of MappingDecision(k, count) over the servers k per
+query count the binding returns, so a returned decision may be the same
+object as an earlier one.
 
 Randomness discipline: every decision consumes exactly one uniform from
 the stream for its final pick (argmin ties are broken uniformly; with a
@@ -24,9 +26,9 @@ Queue index: minqueue, the queue branch of pss and wmc read queue state
 across the whole candidate set. When a candidate tuple holds every
 server, they read a QueueIndex instead of scanning it: the servers of
 the lowest queue length, or the jobs total. queue_index decides when
-one is kept; the engine updates it at every event, and bind_strategy
-hands it to choose on that tuple only. Every other tuple, and every
-binding made without an index, scans the queue vector.
+one is kept; the engine updates it at every event, and the bound closure
+reads it on that tuple only. Every other tuple, and every binding made
+without an index, scans the queue vector.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import math
 from collections import defaultdict
 from typing import NamedTuple, Sequence
 
-from .model import StrategySpec
+from .model import STRATEGY_FAMILIES, StrategySpec
 
 
 class MappingDecision(NamedTuple):
@@ -98,12 +100,6 @@ def queue_index(spec: StrategySpec, candidates_by_file, queues: Sequence[int]):
     return QueueIndex(queues, buckets=buckets)
 
 
-def _pick(options: Sequence[int], u: float) -> int:
-    # Uniform member of options from one uniform draw.
-    j = int(u * len(options))
-    return options[j] if j < len(options) else options[-1]
-
-
 def _argmin_set(candidates: Sequence[int], values) -> list[int]:
     # All candidates attaining the minimum, in candidate order.
     best = None
@@ -118,45 +114,6 @@ def _argmin_set(candidates: Sequence[int], values) -> list[int]:
     return ties
 
 
-def min_cost_prep(candidates: Sequence[int], costs, param) -> tuple[int, ...]:
-    """Cost-argmin set, the static part of mincost and of pss."""
-    return tuple(_argmin_set(candidates, costs))
-
-
-def min_cost_choose(candidates, cost_ties, queues, param, rng) -> MappingDecision:
-    """Cheapest candidate; never inspects queues (0 queries)."""
-    return MappingDecision(_pick(cost_ties, rng.random()), 0)
-
-
-def min_queue_prep(candidates: Sequence[int], costs, param) -> tuple[()]:
-    """minqueue reads no costs, so it has no static part."""
-    return ()
-
-
-def min_queue_choose(candidates, static, queues, param, rng, index=None) -> MappingDecision:
-    """Least-loaded candidate; polls every candidate (len(candidates) queries).
-
-    index, given only when candidates hold every server, supplies the
-    least-loaded servers in ascending order, as a scan finds them."""
-    ties = _argmin_set(candidates, queues) if index is None else sorted(
-        index.buckets[index.lowest])
-    return MappingDecision(_pick(ties, rng.random()), len(candidates))
-
-
-def pss_choose(candidates, cost_ties, queues, switch_prob, rng, index=None) -> MappingDecision:
-    """Probabilistic switch: with probability switch_prob go least-loaded,
-    otherwise cheapest. One uniform decides the branch and, rescaled to
-    its conditional distribution, breaks the tie of the chosen branch.
-    index is read as in min_queue_choose."""
-    x = rng.random()
-    if switch_prob > 0.0 and x <= switch_prob:
-        ties = _argmin_set(candidates, queues) if index is None else sorted(
-            index.buckets[index.lowest])
-        return MappingDecision(_pick(ties, x / switch_prob), len(candidates))
-    u = x if switch_prob >= 1.0 else (x - switch_prob) / (1.0 - switch_prob)
-    return MappingDecision(_pick(cost_ties, u), 0)
-
-
 def wmc_prep(
     candidates: Sequence[int], costs, cost_weight: float
 ) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -164,7 +121,7 @@ def wmc_prep(
 
     shares holds each candidate's weighted cost share, in candidate order;
     all 0.0 when the candidate costs sum to zero. order holds the candidate
-    positions sorted by share (a stable sort), the order wmc_choose scans in.
+    positions sorted by share (a stable sort), the order wmc's closure scans in.
     """
     cost_total = 0.0
     for k in candidates:
@@ -174,47 +131,6 @@ def wmc_prep(
     else:
         shares = (0.0,) * len(candidates)
     return shares, tuple(sorted(range(len(shares)), key=shares.__getitem__))
-
-
-def wmc_choose(candidates, prep, queues, cost_weight: float, rng, index=None) -> MappingDecision:
-    """Weighted mixed cost: score each candidate by a convex combination of
-    its cost share and queue share over the candidate set, take the argmin.
-    A zero normalizer drops that term for every candidate. Polls every
-    candidate (len(candidates) queries). index, given only when
-    candidates hold every server, supplies the queue normalizer.
-
-    Candidates are scored in ascending share order. A score is its share
-    plus a queue term >= 0, and rounding cannot take a float sum below
-    either addend, so every score is >= its share: once a share exceeds
-    the best score so far, neither that candidate nor any later one can
-    reach it, and the scan stops with the same argmin set a full scan
-    finds. Ties go back into candidate order before the pick.
-    """
-    shares, order = prep
-    if index is None:
-        queue_total = 0
-        for k in candidates:
-            queue_total += queues[k]
-    else:
-        queue_total = index.total
-    load_weight = 1.0 - cost_weight
-
-    best = math.inf
-    ties: list[int] = []
-    for pos in order:
-        score = shares[pos]
-        if score > best:
-            break
-        if queue_total > 0:
-            score += load_weight * (queues[candidates[pos]] / queue_total)
-        if score < best:
-            best = score
-            ties = [pos]
-        elif score == best:
-            ties.append(pos)
-    if len(ties) > 1:
-        ties.sort()
-    return MappingDecision(candidates[_pick(ties, rng.random())], len(candidates))
 
 
 def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
@@ -281,62 +197,162 @@ def _sample_ties(boundary, draws, pooled: bool, getrandbits) -> list[int]:
     return picks
 
 
-def mcs_choose(candidates, prep, queues, n_choices: int, rng) -> MappingDecision:
-    """Minimum cost subset: probe the min(n_choices, len(candidates))
-    cheapest candidates (cost ties at the cut drawn uniformly), then take
-    the least loaded of the probed set. Queries equal the probe count."""
-    base, boundary, draws, pooled = prep
-    if draws:
-        probed = _sample_ties(boundary, draws, pooled, rng.getrandbits)
-        probed += base
-        probed.sort()
-    else:
-        probed = base
-    ties = _argmin_set(probed, queues)
-    return MappingDecision(_pick(ties, rng.random()), len(probed))
-
-
-# kind -> (prep, choose)
-_FAMILIES = {
-    "mincost": (min_cost_prep, min_cost_choose),
-    "minqueue": (min_queue_prep, min_queue_choose),
-    "pss": (min_cost_prep, pss_choose),
-    "wmc": (wmc_prep, wmc_choose),
-    "mcs": (mcs_prep, mcs_choose),
-}
-
-
 def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: int, n_files: int,
                   rng, *, queue_index: QueueIndex | None = None):
-    """Compile a spec into a per-request callable fn(user, file, queues).
+    """Compile a spec into its family's per-request closure fn(user, file, queues).
 
-    The family's prep runs on the first request of each (user, memo slot)
-    and its result is kept for the rest of the run. prep depends on the
-    file only through its candidate tuple, so files with equal tuples
-    share one memo slot per user (at full replication, all do).
+    cost_rows[user] holds that user's cost of every server. The family's
+    prep runs on the first request of each (user, memo slot) and its
+    result is kept for the rest of the run. prep depends on the file only
+    through its candidate tuple, so files with equal tuples share one memo
+    slot per user (at full replication, all do). minqueue keeps no memo.
 
     queue_index, from queue_index() and kept current by the caller, is
-    passed to choose on the slot whose tuple holds every server; every
-    other slot scans the queues it is called with.
+    read on the slot whose tuple holds every server; every other slot
+    scans the queues it is called with.
     """
-    try:
-        prep, choose = _FAMILIES[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown strategy kind {spec.kind!r}") from None
+    kind = spec.kind
+    if kind not in STRATEGY_FAMILIES:
+        raise ValueError(f"unknown strategy kind {kind!r}")
     param = spec.param
     slot_of: dict[tuple[int, ...], int] = {}
     slot = [slot_of.setdefault(tuple(c), len(slot_of)) for c in candidates_by_file]
-    memo: list[list] = [[None] * n_files for _ in range(n_users)]
+    memo = None if kind == "minqueue" else [[None] * n_files for _ in range(n_users)]
     full = -1 if queue_index is None else slot_of.get(tuple(range(queue_index.n_servers)), -1)
+    random = rng.random
+    n_servers = len(cost_rows[0])
+    rows: dict[int, list[MappingDecision]] = {}  # query count -> each server's decision
+    file_rows: list = [None] * n_files  # the row of each file's queue-reading choice
 
-    def decide(user: int, file_index: int, queues) -> MappingDecision:
-        candidates = candidates_by_file[file_index]
-        s = slot[file_index]
-        static = memo[user][s]
-        if static is None:
-            static = memo[user][s] = prep(candidates, cost_rows[user], param)
-        if s == full:
-            return choose(candidates, static, queues, param, rng, queue_index)
-        return choose(candidates, static, queues, param, rng)
+    def decisions(count: int) -> list[MappingDecision]:
+        if count not in rows:
+            rows[count] = [MappingDecision(k, count) for k in range(n_servers)]
+        return rows[count]
+
+    def file_row(file_index: int, count: int) -> list[MappingDecision]:
+        row = file_rows[file_index] = decisions(count)
+        return row
+
+    def cost_ties(user: int, file_index: int) -> tuple[MappingDecision, ...]:
+        # Memo entry of mincost and pss: the cost-argmin set, as decisions.
+        zero = decisions(0)
+        ties = _argmin_set(candidates_by_file[file_index], cost_rows[user])
+        return tuple([zero[k] for k in ties])
+
+    if kind == "mincost":
+        def decide(user: int, file_index: int, queues) -> MappingDecision:
+            # Cheapest candidate; never inspects queues (0 queries).
+            s = slot[file_index]
+            ties = memo[user][s]
+            if ties is None:
+                ties = memo[user][s] = cost_ties(user, file_index)
+            j = int(random() * len(ties))
+            return ties[j] if j < len(ties) else ties[-1]
+
+    elif kind in ("minqueue", "pss"):
+        # minqueue is pss's queue branch on every request: pss at switch
+        # probability 1 replays it draw for draw, and never reads the memo.
+        switch = 1.0 if kind == "minqueue" else param
+
+        def decide(user: int, file_index: int, queues) -> MappingDecision:
+            # With probability switch go least-loaded, polling every
+            # candidate, otherwise cheapest. One uniform picks the branch
+            # and, rescaled to its conditional distribution, breaks its tie.
+            # The index gives the least loaded in ascending order, as a scan.
+            x = random()
+            if switch > 0.0 and x <= switch:
+                candidates = candidates_by_file[file_index]
+                if slot[file_index] == full:
+                    ties = sorted(queue_index.buckets[queue_index.lowest])
+                else:
+                    best = math.inf
+                    for k in candidates:
+                        q = queues[k]
+                        if q < best:
+                            best, ties = q, [k]
+                        elif q == best:
+                            ties.append(k)
+                row = file_rows[file_index] or file_row(file_index, len(candidates))
+                j = int(x / switch * len(ties))
+                return row[ties[j] if j < len(ties) else ties[-1]]
+            s = slot[file_index]
+            ties = memo[user][s]
+            if ties is None:
+                ties = memo[user][s] = cost_ties(user, file_index)
+            # switch < 1 here: at 1, x < 1 always takes the queue branch.
+            j = int((x - switch) / (1.0 - switch) * len(ties))
+            return ties[j] if j < len(ties) else ties[-1]
+
+    elif kind == "wmc":
+        load_weight = 1.0 - param
+
+        def decide(user: int, file_index: int, queues) -> MappingDecision:
+            # Weighted mixed cost: the argmin of a convex combination of
+            # each candidate's cost share and queue share over the candidate
+            # set; a zero normalizer drops its term. Polls every candidate.
+            # Scores run in ascending share order. A score is its share plus
+            # a queue term >= 0, and rounding cannot take a float sum below
+            # either addend: once a share exceeds the best score so far, no
+            # later candidate can reach it, and the scan stops with the
+            # argmin set a full scan finds. Ties go back into candidate order.
+            candidates = candidates_by_file[file_index]
+            s = slot[file_index]
+            static = memo[user][s]
+            if static is None:
+                static = memo[user][s] = wmc_prep(candidates, cost_rows[user], param)
+            shares, order = static
+            if s == full:
+                queue_total = queue_index.total
+            else:
+                queue_total = 0
+                for k in candidates:
+                    queue_total += queues[k]
+            best = math.inf
+            ties = []
+            for pos in order:
+                score = shares[pos]
+                if score > best:
+                    break
+                if queue_total > 0:
+                    score += load_weight * (queues[candidates[pos]] / queue_total)
+                if score < best:
+                    best, ties = score, [pos]
+                elif score == best:
+                    ties.append(pos)
+            if len(ties) > 1:
+                ties.sort()
+            row = file_rows[file_index] or file_row(file_index, len(candidates))
+            j = int(random() * len(ties))
+            return row[candidates[ties[j] if j < len(ties) else ties[-1]]]
+
+    else:
+        getrandbits = rng.getrandbits
+
+        def decide(user: int, file_index: int, queues) -> MappingDecision:
+            # Minimum cost subset: probe the min(param, len(candidates))
+            # cheapest candidates (cost ties at the cut drawn uniformly) and
+            # take the least loaded of them; queries equal the probe count.
+            s = slot[file_index]
+            static = memo[user][s]
+            if static is None:
+                static = memo[user][s] = mcs_prep(candidates_by_file[file_index],
+                                                  cost_rows[user], param)
+            base, boundary, draws, pooled = static
+            if draws:
+                probed = _sample_ties(boundary, draws, pooled, getrandbits)
+                probed += base
+                probed.sort()
+            else:
+                probed = base
+            best = math.inf
+            for k in probed:
+                q = queues[k]
+                if q < best:
+                    best, ties = q, [k]
+                elif q == best:
+                    ties.append(k)
+            row = file_rows[file_index] or file_row(file_index, len(probed))
+            j = int(random() * len(ties))
+            return row[ties[j] if j < len(ties) else ties[-1]]
 
     return decide

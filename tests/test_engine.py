@@ -53,7 +53,7 @@ def test_substreams_are_reproducible_and_mutually_distinct():
     assert a1 != b
 
 
-def test_next_arrival_gap_mean_and_user_split():
+def test_arrival_gaps_and_user_split():
     cfg = SimConfig(n_servers=2, n_users=2, n_files=1, cache_size=1,
                     arrival_rates=(1.0, 3.0), service=ServiceSpec("exp", 4.0),
                     horizon_events=20_000, lattice_side=5)
@@ -66,7 +66,7 @@ def test_next_arrival_gap_mean_and_user_split():
     assert abs(sum(user for _, user in seen) / n - 0.75) < 0.02
 
 
-def test_sample_service_exponential_mean():
+def test_exponential_service_mean():
     # At load 0.0005 a job almost never queues: the M/M/1 sojourn
     # 1 / (2 - 0.001) is the service mean 0.5 to within 3e-4.
     cfg = _single_queue_config(horizon=20_000, service="exp:2.0", rate=0.001)

@@ -240,7 +240,7 @@ def test_pss_rescaled_draw_is_uniform_within_each_branch():
 
 def _wmc_reference(candidates, costs, queues, cost_weight, rng):
     # Per-request scoring with no precomputation: the float expressions
-    # the prep/choose split of wmc must reproduce exactly.
+    # the bound wmc closure must reproduce exactly.
     cost_total = 0.0
     queue_total = 0
     for k in candidates:
@@ -592,6 +592,56 @@ def test_bind_strategy_matches_plain_calls_for_every_kind():
             for user, fidx in ((0, 0), (1, 1), (0, 1), (0, 0), (1, 0), (0, 2), (1, 2)):
                 assert decide(user, fidx, queues) == plain(user, fidx, queues, plain_rng)
             assert bound_rng.getstate() == plain_rng.getstate()
+
+
+def test_bindings_over_different_server_counts_keep_their_own_decisions():
+    # Two bindings alive at once, over 3 and over 100 servers, called in
+    # turn: each must return its own servers and query counts, so no row of
+    # prebuilt decisions may be shared between bindings.
+    tables = (
+        (((4.0, 1.0, 1.0),), ((0, 1, 2),)),
+        ((tuple(float(k % 7) for k in range(100)),), (tuple(range(100)),)),
+    )
+    references = {
+        "mincost": lambda c, costs, q, rng: _min_cost_reference(c, costs, rng),
+        "minqueue": lambda c, costs, q, rng: _min_queue_reference(c, q, rng),
+        "pss:0.5": lambda c, costs, q, rng: _pss_reference(c, costs, q, 0.5, rng),
+        "wmc:0.5": lambda c, costs, q, rng: _wmc_reference(c, costs, q, 0.5, rng),
+        "mcs:2": lambda c, costs, q, rng: _mcs_reference(c, costs, q, 2, rng),
+    }
+    queue_rng = Random(5)
+    for name, reference in references.items():
+        spec = StrategySpec.parse(name)
+        bound = [(bind_strategy(spec, rows, cands, 1, 1, Random(i)), Random(i), rows, cands)
+                 for i, (rows, cands) in enumerate(tables)]
+        for _ in range(40):
+            for decide, ref_rng, rows, cands in bound:
+                queues = [queue_rng.randrange(3) for _ in rows[0]]
+                assert decide(0, 0, queues) == reference(cands[0], rows[0], queues, ref_rng)
+
+
+def test_decision_hook_receives_mapping_decisions_with_documented_queries():
+    # At M=8 every decision scans its candidates; at M=70 every file is on
+    # every server, so minqueue, pss and wmc read the engine's queue index.
+    # Either way the hook receives MappingDecision objects whose
+    # queries_used is the family's documented count.
+    documented = {
+        "mincost": lambda n: {0},
+        "minqueue": lambda n: {n},
+        "pss:0.5": lambda n: {0, n},
+        "wmc:0.5": lambda n: {n},
+        "mcs:2": lambda n: {min(2, n)},
+        "mcs:500": lambda n: {n},
+    }
+    for cache_size in (8, 70):
+        cfg = default_config(cache_size=cache_size, horizon_events=2_000)
+        for name, allowed in documented.items():
+            seen = []
+            run_simulation(cfg, name, 3, decision_hook=lambda t, user, fidx, cands, queues, d:
+                           seen.append((type(d), d.server in cands,
+                                        d.queries_used in allowed(len(cands)))))
+            assert len(seen) == 2_000
+            assert set(seen) == {(MappingDecision, True, True)}, (cache_size, name)
 
 
 def test_bind_strategy_rejects_unknown_kind():
