@@ -18,19 +18,21 @@ A run is observed through one hook, called at every arrival with the
 MappingDecision the bound strategy returned, before the job joins its
 server. The trace file is written by such a hook.
 
-For minqueue, pss with a switch probability above 0 and wmc, when some
+For the specs that read a whole candidate set's queues (minqueue, pss
+with a switch probability above 0, wmc below cost weight 1), when some
 file's candidates are every server, the run also keeps a
 strategies.QueueIndex over the jobs-in-system vector: the jobs total for
-wmc, the servers bucketed by queue length with the lowest length for the
-others. Each arrival and departure updates it, and decisions on those
-files read it instead of scanning every queue.
+wmc strictly between cost weights 0 and 1; for the others, the servers
+bucketed by queue length in sorted lists, with the lowest length. Each
+arrival and departure updates it, and decisions on those files read it
+instead of scanning every queue.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from heapq import heappop, heappush
 from itertools import accumulate
 from random import Random
@@ -229,10 +231,11 @@ def run_simulation(
                     # k moves from bucket q + 1 to bucket q.
                     q = njobs[k]
                     b = buckets[q + 1]
-                    b.remove(k)
-                    if not b:
+                    if len(b) == 1:
                         del buckets[q + 1]
-                    buckets[q].add(k)
+                    else:
+                        del b[bisect_left(b, k)]
+                    insort(buckets[q], k)
                     if q < index.lowest:
                         index.lowest = q
         fidx = bis(cum_probs, file_u())
@@ -268,12 +271,13 @@ def run_simulation(
                 # k moves from bucket q - 1 to bucket q.
                 q = njobs[k]
                 b = buckets[q - 1]
-                b.remove(k)
-                if not b:
+                if len(b) == 1:
                     del buckets[q - 1]
                     if index.lowest == q - 1:
                         index.lowest = q
-                buckets[q].add(k)
+                else:
+                    del b[bisect_left(b, k)]
+                insort(buckets[q], k)
 
     # Jobs in system integrated over the window: every counted sojourn lies
     # inside it, and a carried warmup job counts until it departs or the

@@ -22,19 +22,29 @@ subset of cost-tied servers must be probed. It draws those probes from
 the stream's getrandbits exactly as Random.sample(boundary, need) would
 (_sample_ties), so the picks and every later draw are those of sample.
 
-Queue index: minqueue, the queue branch of pss and wmc read queue state
-across the whole candidate set. When a candidate tuple holds every
-server, they read a QueueIndex instead of scanning it: the servers of
-the lowest queue length, or the jobs total. queue_index decides when
-one is kept; the engine updates it at every event, and the bound closure
-reads it on that tuple only. Every other tuple, and every binding made
-without an index, scans the queue vector.
+wmc's endpoints are bound to the closures of exact twins. At cost weight
+0 every share is 0.0, so a score is q/Q, which is least where the queue q
+is (q/Q is strictly increasing in integer q below 2**52): wmc:0 is
+minqueue, draw for draw. At cost weight 1 every queue term is
+0.0 * (q/Q) = 0.0, so a score is its share: wmc:1 takes the fixed
+min-share set of each (user, memo slot) like mincost, reads no queue, and
+still reports len(candidates) queries.
+
+Queue index: minqueue, the queue branch of pss and wmc below cost weight
+1 read queue state across the whole candidate set. When a candidate tuple
+holds every server, they read a QueueIndex instead of scanning it: the
+sorted list of servers at the lowest queue length, or the jobs total.
+queue_index decides when one is kept; the engine updates it at every
+event, and the bound closure reads it on that tuple only. Every other
+tuple, and every binding made without an index, scans the queue vector.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .model import STRATEGY_FAMILIES, StrategySpec
@@ -48,11 +58,12 @@ class MappingDecision(NamedTuple):
 class QueueIndex:
     """Jobs in system over all servers, in the parts a family reads.
 
-    With buckets, maps each queue length to the set of servers holding
-    that many jobs (a defaultdict(set); an emptied set is deleted), and
-    lowest is the smallest such length. Without, total is the sum of the
-    queue vector. The constructor builds it from scratch; run_simulation
-    keeps it current in place at every arrival and departure.
+    With buckets, maps each queue length to the ascending list of servers
+    holding that many jobs (a defaultdict(list); an emptied list is
+    deleted), and lowest is the smallest such length. Without, total is the
+    sum of the queue vector. The constructor builds it from scratch;
+    run_simulation keeps it current in place at every arrival and
+    departure, moving a server between lists with bisect and insort.
     """
 
     __slots__ = ("n_servers", "total", "buckets", "lowest")
@@ -63,9 +74,9 @@ class QueueIndex:
         self.buckets = None
         self.lowest = None
         if buckets:
-            self.buckets = defaultdict(set)
+            self.buckets = defaultdict(list)
             for k, q in enumerate(queues):
-                self.buckets[q].add(k)
+                self.buckets[q].append(k)
             self.lowest = min(self.buckets)
         else:
             self.total = sum(queues)
@@ -85,14 +96,17 @@ def queue_index(spec: StrategySpec, candidates_by_file, queues: Sequence[int]):
     """The QueueIndex over queues that spec reads, or None.
 
     One is built only when the family reads queue state across a whole
-    candidate set (minqueue, pss with a switch probability above 0, wmc)
-    and some candidate tuple holds every server. wmc keeps only the
-    total; the others only the buckets.
+    candidate set and some candidate tuple holds every server. minqueue,
+    pss with a switch probability above 0 and wmc at cost weight 0 (bound
+    as minqueue) keep the buckets; wmc strictly between cost weights 0 and
+    1 keeps only the total. mincost, mcs, pss:0 and wmc:1 read no whole
+    candidate set's queues and keep none.
     """
-    if spec.kind == "wmc":
-        buckets = False
-    elif spec.kind == "minqueue" or (spec.kind == "pss" and spec.param > 0.0):
+    kind, param = spec.kind, spec.param
+    if kind == "minqueue" or (kind == "pss" and param > 0.0) or (kind == "wmc" and param == 0.0):
         buckets = True
+    elif kind == "wmc" and param < 1.0:
+        buckets = False
     else:
         return None
     if tuple(range(len(queues))) not in candidates_by_file:
@@ -114,6 +128,18 @@ def _argmin_set(candidates: Sequence[int], values) -> list[int]:
     return ties
 
 
+def _shares(candidates: Sequence[int], costs, cost_weight: float) -> tuple[float, ...]:
+    # Each candidate's weighted cost share, in candidate order; all 0.0 when
+    # the candidate costs sum to zero. The total is a sequential float sum:
+    # sum() compensates its rounding on Python 3.12 and later.
+    cost_total = 0.0
+    for k in candidates:
+        cost_total += costs[k]
+    if cost_total > 0.0:
+        return tuple([cost_weight * (costs[k] / cost_total) for k in candidates])
+    return (0.0,) * len(candidates)
+
+
 def wmc_prep(
     candidates: Sequence[int], costs, cost_weight: float
 ) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -123,51 +149,43 @@ def wmc_prep(
     all 0.0 when the candidate costs sum to zero. order holds the candidate
     positions sorted by share (a stable sort), the order wmc's closure scans in.
     """
-    cost_total = 0.0
-    for k in candidates:
-        cost_total += costs[k]
-    if cost_total > 0.0:
-        shares = tuple(cost_weight * (costs[k] / cost_total) for k in candidates)
-    else:
-        shares = (0.0,) * len(candidates)
+    shares = _shares(candidates, costs, cost_weight)
     return shares, tuple(sorted(range(len(shares)), key=shares.__getitem__))
 
 
 def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
     """Static part of the mcs probe-set choice.
 
-    Returns (base, boundary, draws, pooled): base servers are always
-    probed; when draws is non-empty, len(draws) more are drawn uniformly
-    from the cost-tied boundary by _sample_ties. draws holds one
-    (bound, bit_length) pair per pick and pooled names the branch of
-    Random.sample that a sample of that size from that boundary takes.
+    Returns (base, boundary, draws, pooled): base servers, in ascending
+    order, are always probed; when draws is non-empty, len(draws) more are
+    drawn uniformly from the cost-tied boundary, in candidate order, by
+    _sample_ties. draws holds one (bound, bit_length) pair per pick and
+    pooled names the branch of Random.sample that a sample of that size
+    from that boundary takes.
     """
     n = len(candidates)
     probes = n_choices if n_choices < n else n
     if probes == n:
         return tuple(candidates), (), (), False
-    ordered = sorted(costs[k] for k in candidates)
-    threshold = ordered[probes - 1]
-    base = []
-    boundary = []
-    for k in candidates:
-        c = costs[k]
-        if c < threshold:
-            base.append(k)
-        elif c == threshold:
-            boundary.append(k)
-    need = probes - len(base)
-    if need == len(boundary):
-        return tuple(sorted(base + boundary)), (), (), False
+    # One stable sort by cost: the servers below the cut form a prefix, and
+    # the run of cost ties at the cut keeps candidate order.
+    cost_of = costs.__getitem__
+    ordered = sorted(candidates, key=cost_of)
+    threshold = cost_of(ordered[probes - 1])
+    first = bisect_left(ordered, threshold, 0, probes - 1, key=cost_of)
+    end = bisect_right(ordered, threshold, probes, n, key=cost_of)
+    if end == probes:
+        return tuple(sorted(ordered[:probes])), (), (), False
+    need = probes - first
     # Random.sample's choice between its two branches (CPython 3.11).
-    n_ties = len(boundary)
+    n_ties = end - first
     setsize = 21
     if need > 5:
         setsize += 4 ** math.ceil(math.log(need * 3, 4))
     pooled = n_ties <= setsize
     bounds = range(n_ties, n_ties - need, -1) if pooled else (n_ties,) * need
     draws = tuple((m, m.bit_length()) for m in bounds)
-    return tuple(base), tuple(boundary), draws, pooled
+    return tuple(sorted(ordered[:first])), tuple(ordered[first:end]), draws, pooled
 
 
 def _sample_ties(boundary, draws, pooled: bool, getrandbits) -> list[int]:
@@ -205,7 +223,8 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
     prep runs on the first request of each (user, memo slot) and its
     result is kept for the rest of the run. prep depends on the file only
     through its candidate tuple, so files with equal tuples share one memo
-    slot per user (at full replication, all do). minqueue keeps no memo.
+    slot per user (at full replication, all do). minqueue, and wmc at cost
+    weight 0 bound as minqueue, keep no memo.
 
     queue_index, from queue_index() and kept current by the caller, is
     read on the slot whose tuple holds every server; every other slot
@@ -215,6 +234,8 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
     if kind not in STRATEGY_FAMILIES:
         raise ValueError(f"unknown strategy kind {kind!r}")
     param = spec.param
+    if kind == "wmc" and param == 0.0:
+        kind = "minqueue"  # its exact twin; see the module docstring
     slot_of: dict[tuple[int, ...], int] = {}
     slot = [slot_of.setdefault(tuple(c), len(slot_of)) for c in candidates_by_file]
     memo = None if kind == "minqueue" else [[None] * n_files for _ in range(n_users)]
@@ -225,8 +246,10 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
     file_rows: list = [None] * n_files  # the row of each file's queue-reading choice
 
     def decisions(count: int) -> list[MappingDecision]:
+        # Built by tuple.__new__, in C, not by the NamedTuple's Python __new__.
         if count not in rows:
-            rows[count] = [MappingDecision(k, count) for k in range(n_servers)]
+            rows[count] = list(map(tuple.__new__, repeat(MappingDecision, n_servers),
+                                   zip(range(n_servers), repeat(count))))
         return rows[count]
 
     def file_row(file_index: int, count: int) -> list[MappingDecision]:
@@ -239,13 +262,24 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
         ties = _argmin_set(candidates_by_file[file_index], cost_rows[user])
         return tuple([zero[k] for k in ties])
 
-    if kind == "mincost":
+    def share_ties(user: int, file_index: int) -> tuple[MappingDecision, ...]:
+        # Memo entry of wmc:1: the min-share set, in candidate order, as
+        # decisions that count a query per candidate.
+        candidates = candidates_by_file[file_index]
+        shares = _shares(candidates, cost_rows[user], param)
+        best = min(shares)
+        row = decisions(len(candidates))
+        return tuple([row[k] for k, share in zip(candidates, shares) if share == best])
+
+    if kind == "mincost" or (kind == "wmc" and param == 1.0):
+        fill = cost_ties if kind == "mincost" else share_ties
+
         def decide(user: int, file_index: int, queues) -> MappingDecision:
-            # Cheapest candidate; never inspects queues (0 queries).
+            # A fixed tie set per (user, memo slot); never inspects queues.
             s = slot[file_index]
             ties = memo[user][s]
             if ties is None:
-                ties = memo[user][s] = cost_ties(user, file_index)
+                ties = memo[user][s] = fill(user, file_index)
             j = int(random() * len(ties))
             return ties[j] if j < len(ties) else ties[-1]
 
@@ -253,17 +287,19 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
         # minqueue is pss's queue branch on every request: pss at switch
         # probability 1 replays it draw for draw, and never reads the memo.
         switch = 1.0 if kind == "minqueue" else param
+        buckets = None if queue_index is None else queue_index.buckets
 
         def decide(user: int, file_index: int, queues) -> MappingDecision:
             # With probability switch go least-loaded, polling every
             # candidate, otherwise cheapest. One uniform picks the branch
             # and, rescaled to its conditional distribution, breaks its tie.
-            # The index gives the least loaded in ascending order, as a scan.
+            # The index's lowest bucket lists the least loaded in ascending
+            # order, as a scan would.
             x = random()
             if switch > 0.0 and x <= switch:
                 candidates = candidates_by_file[file_index]
                 if slot[file_index] == full:
-                    ties = sorted(queue_index.buckets[queue_index.lowest])
+                    ties = buckets[queue_index.lowest]
                 else:
                     best = math.inf
                     for k in candidates:

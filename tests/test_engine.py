@@ -516,7 +516,7 @@ class IndexSpy:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    strategy=st.sampled_from(("minqueue", "pss:0.5", "wmc:0.5")),
+    strategy=st.sampled_from(("minqueue", "pss:0.5", "wmc:0.5", "wmc:0")),
     service=st.sampled_from(("exp:1", "const:1")),
     n_servers=st.integers(1, 40),
     n_users=st.integers(1, 4),
@@ -534,7 +534,7 @@ def test_engine_queue_index_matches_a_rebuild_at_every_arrival(
                          arrival_rates=uniform_rates(n_users, load * n_servers / n_users),
                          service=ServiceSpec.parse(service))
     spy = IndexSpy()
-    buckets = not strategy.startswith("wmc")
+    buckets = strategy != "wmc:0.5"  # wmc:0 is bound as minqueue
     seen = []
 
     def hook(t, user, fidx, cands, queues, decision):
@@ -548,11 +548,11 @@ def test_engine_queue_index_matches_a_rebuild_at_every_arrival(
 
 
 def test_engine_keeps_no_queue_index_where_no_decision_reads_one():
-    # mincost, mcs and pss:0 never read a whole candidate set's queues,
-    # and without a tuple of every server no decision can use the index.
+    # mincost, mcs, pss:0 and wmc:1 never read a whole candidate set's
+    # queues, and without a tuple of every server no decision can use the index.
     full = default_config(cache_size=70, horizon_events=200)
     partial = default_config(cache_size=8, horizon_events=200)
-    cases = [(full, s) for s in ("mincost", "mcs:2", "mcs:200", "pss:0")]
+    cases = [(full, s) for s in ("mincost", "mcs:2", "mcs:200", "pss:0", "wmc:1")]
     cases += [(partial, s) for s in ("minqueue", "pss:0.5", "wmc:0.5")]
     for cfg, strategy in cases:
         spy = IndexSpy()

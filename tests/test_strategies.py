@@ -434,6 +434,105 @@ def test_wmc_scan_stops_at_first_share_above_best():
     assert rng.getstate() == ref_rng.getstate()
 
 
+# Adds 7 and its upper neighbour: over a total of 23 (with a 9) both give
+# the share 0.30434782608695654, a tie the costs do not have.
+_wmc_twin_costs = st.sampled_from(
+    _WMC_COSTS + (0.0, 7.0, math.nextafter(7.0, math.inf), 9.0)
+    + tuple(math.nextafter(c, math.inf) for c in _WMC_COSTS))
+
+
+@st.composite
+def _wmc_twin_cases(draw):
+    # (candidates, costs, queues, requests) on up to 60 servers: a shuffled
+    # candidate subset, costs from _wmc_twin_costs, and the queue vectors of
+    # several requests through one binding; about a fifth are all zero.
+    n_servers = draw(st.integers(1, 60))
+    shuffled = draw(st.permutations(range(n_servers)))
+    candidates = tuple(shuffled[: draw(st.integers(1, n_servers))])
+    costs = tuple(draw(st.lists(_wmc_twin_costs, min_size=n_servers, max_size=n_servers)))
+    queue = st.lists(st.integers(0, 3) | st.just(30), min_size=n_servers, max_size=n_servers)
+    requests = draw(st.lists(queue.map(tuple) | st.just((0,) * n_servers), min_size=1, max_size=5))
+    return candidates, costs, requests
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_wmc_twin_cases(), seed=st.integers(0, 2**32))
+def test_wmc_zero_replays_minqueue_draw_for_draw(case, seed):
+    # At cost weight 0 wmc is bound to minqueue's closure: the same
+    # decisions, queries and stream state as minqueue, and as the reference
+    # scoring of every candidate's q/Q.
+    candidates, costs, requests = case
+    rngs = [Random(seed) for _ in range(3)]
+    wmc = _bind("wmc", 0.0, candidates, costs, rngs[0])
+    minqueue = _bind("minqueue", None, candidates, costs, rngs[1])
+    for queues in requests:
+        decision = wmc(0, 0, queues)
+        assert decision == minqueue(0, 0, queues)
+        assert decision == _wmc_reference(candidates, costs, queues, 0.0, rngs[2])
+    assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_servers=st.integers(1, 60), n_files=st.integers(1, 3),
+       queues=st.lists(st.lists(st.integers(0, 4) | st.just(30), min_size=60, max_size=60),
+                       min_size=1, max_size=5),
+       seed=st.integers(0, 2**32))
+def test_wmc_zero_reads_the_bucket_index_as_minqueue_does(n_servers, n_files, queues, seed):
+    # At full replication wmc:0 keeps minqueue's bucket index and decides
+    # from its lowest bucket, draw for draw with minqueue and with the
+    # reference scoring.
+    costs = tuple(float(k % 5) for k in range(n_servers))
+    cands = (tuple(range(n_servers)),) * n_files
+    wmc, minqueue = StrategySpec("wmc", 0.0), StrategySpec("minqueue")
+    rngs = [Random(seed) for _ in range(3)]
+    for state in queues:
+        state = state[:n_servers]
+        index = queue_index(wmc, cands, state)
+        assert index == queue_index(minqueue, cands, state)
+        assert index.buckets is not None
+        fidx = seed % n_files
+        decision = bind_strategy(wmc, (costs,), cands, 1, n_files, rngs[0],
+                                 queue_index=index)(0, fidx, state)
+        assert decision == bind_strategy(minqueue, (costs,), cands, 1, n_files, rngs[1],
+                                         queue_index=index)(0, fidx, state)
+        assert decision == _wmc_reference(cands[fidx], costs, state, 0.0, rngs[2])
+    assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_wmc_twin_cases(), seed=st.integers(0, 2**32))
+# Servers 0 and 1 cost 7 and the float above it; over the total 23 their
+# shares are one float, so both tie, in candidate order, where mincost
+# would take server 0 alone.
+@example(case=((2, 0, 1), (7.0, math.nextafter(7.0, math.inf), 9.0), [(5, 0, 0), (0, 0, 0)]),
+         seed=1)
+def test_wmc_one_matches_reference_scoring_without_reading_queues(case, seed):
+    # At cost weight 1 wmc takes the fixed min-share set: the reference
+    # scoring's decision and draws, with len(candidates) queries reported
+    # and no queue read.
+    candidates, costs, requests = case
+    rng, ref_rng = Random(seed), Random(seed)
+    decide = _bind("wmc", 1.0, candidates, costs, rng)
+    for queues in requests:
+        counted = _CountingQueues(queues)
+        assert decide(0, 0, counted) == _wmc_reference(candidates, costs, queues, 1.0, ref_rng)
+        assert counted.reads == 0
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_wmc_one_ties_servers_whose_distinct_costs_round_to_one_share():
+    candidates, costs = (2, 0, 1), (7.0, math.nextafter(7.0, math.inf), 9.0)
+    assert 7.0 / 23.0 == costs[1] / 23.0
+    picks = Counter()
+    decide = _bind("wmc", 1.0, candidates, costs, Random(6))
+    for _ in range(2000):
+        decision = decide(0, 0, (0, 0, 0))
+        assert decision.queries_used == 3
+        picks[decision.server] += 1
+    assert set(picks) == {0, 1} and abs(picks[0] / 2000 - 0.5) < 0.05
+    assert queue_index(StrategySpec("wmc", 1.0), (tuple(range(3)),), [0, 0, 0]) is None
+
+
 def test_bind_strategy_wmc_at_full_replication_matches_reference_scoring():
     # Every server holds every file, so all files share one candidate tuple
     # and one memo slot per user. Queue states come from a short M=70 run.
