@@ -11,7 +11,6 @@ them after a change that is meant to alter outputs (and says so), run
 `PYTHONPATH=src python tests/test_golden.py`.
 """
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -68,8 +67,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for family in SWEEPS:
         main(_sweep_argv(family, GOLDEN / f"sweep_{family}.csv"))
-    scratch = GOLDEN / "point.csv"
+    point_csv = GOLDEN / "point.csv"
     for name in TRACES:
-        main(_trace_argv(name, scratch, GOLDEN / f"trace_{name}.csv"))
-    scratch.unlink()
-    sys.exit(0)
+        main(_trace_argv(name, point_csv, GOLDEN / f"trace_{name}.csv"))
+    point_csv.unlink()
