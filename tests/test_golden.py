@@ -1,10 +1,13 @@
 """Byte-identity of `simulate` outputs against committed copies.
 
 Short sweeps of the pss, wmc and mcs trade-off grids at M = 2, 8 and 70
-(2 runs of 2,000 arrivals per point), and 500-arrival traces of single
-runs that take the queue index at full replication, the memo on partial
-replication, wmc's endpoint twins and mcs's tie sampling. A change that
-alters any decision or draw changes one of these files.
+(2 runs of 2,000 arrivals per point), one of them also with
+--fixed-topology; 500-arrival traces of single runs that take the queue
+index at full replication, the memo on partial replication, wmc's
+endpoint twins and mcs's tie sampling; and --dump-placement files at
+M = 2, 8 and 70, drawn per run and from a fixed topology. A change that
+alters any layout, placement, decision or draw changes one of these
+files.
 
 The files in tests/data/golden were written by this module. To rewrite
 them after a change that is meant to alter outputs (and says so), run
@@ -35,11 +38,21 @@ TRACES = {
     "wmc0.5_M8": ("wmc:0.5", 8),
     "mcs3_M8": ("mcs:3", 8),
 }
+# Placement dumps: (cache size, extra flags). At M=2 a uniform cache draw
+# takes Random.sample's set branch, at M=8 its pool branch; M=70 is full
+# replication.
+PLACEMENTS = {
+    "M2": (2, []),
+    "M8": (8, []),
+    "M70": (70, []),
+    "M8_fixed": (8, ["--fixed-topology"]),
+    "M70_fixed": (70, ["--fixed-topology"]),
+}
 
 
-def _sweep_argv(family: str, out: Path) -> list[str]:
+def _sweep_argv(family: str, out: Path, *extra: str) -> list[str]:
     return ["--strategy", family, "--sweep", SWEEPS[family], "--cache-sizes", "2,8,70",
-            "--runs", "2", *COMMON, "--out", str(out)]
+            "--runs", "2", *COMMON, *extra, "--out", str(out)]
 
 
 def _trace_argv(name: str, out: Path, trace: Path) -> list[str]:
@@ -49,11 +62,31 @@ def _trace_argv(name: str, out: Path, trace: Path) -> list[str]:
             "--out", str(out), "--trace", str(trace)]
 
 
+def _placement_argv(name: str, out: Path, placement: Path) -> list[str]:
+    m, extra = PLACEMENTS[name]
+    return ["--strategy", "mincost", "--cache-sizes", str(m), "--runs", "1",
+            "--events", "100", "--warmup", "10", "--seed", "9", *extra,
+            "--out", str(out), "--dump-placement", str(placement)]
+
+
 @pytest.mark.parametrize("family", sorted(SWEEPS))
 def test_sweep_csv_is_byte_identical_to_the_golden_copy(family, tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(_sweep_argv(family, out)) == 0
     assert out.read_bytes() == (GOLDEN / f"sweep_{family}.csv").read_bytes()
+
+
+def test_fixed_topology_sweep_csv_is_byte_identical_to_the_golden_copy(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(_sweep_argv("mcs", out, "--fixed-topology")) == 0
+    assert out.read_bytes() == (GOLDEN / "sweep_mcs_fixed.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(PLACEMENTS))
+def test_placement_dump_is_byte_identical_to_the_golden_copy(name, tmp_path):
+    placement = tmp_path / "placement.txt"
+    assert main(_placement_argv(name, tmp_path / "point.csv", placement)) == 0
+    assert placement.read_bytes() == (GOLDEN / f"placement_{name}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(TRACES))
@@ -67,7 +100,10 @@ if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for family in SWEEPS:
         main(_sweep_argv(family, GOLDEN / f"sweep_{family}.csv"))
+    main(_sweep_argv("mcs", GOLDEN / "sweep_mcs_fixed.csv", "--fixed-topology"))
     point_csv = GOLDEN / "point.csv"
     for name in TRACES:
         main(_trace_argv(name, point_csv, GOLDEN / f"trace_{name}.csv"))
+    for name in PLACEMENTS:
+        main(_placement_argv(name, point_csv, GOLDEN / f"placement_{name}.txt"))
     point_csv.unlink()
