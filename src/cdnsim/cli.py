@@ -24,8 +24,7 @@ from .model import (
     load_config,
     validate_config,
 )
-from .popularity import proportional_placement, zipf_profile
-from .topology import load_cost_matrix, manhattan_cost_matrix, random_lattice_layout
+from .topology import load_cost_matrix
 
 CSV_HEADER = "strategy,param,M,beta,n_runs,events,avg_cost,ci95_cost,avg_wait,ci95_wait,avg_queries"
 
@@ -80,20 +79,13 @@ def _fixed_topology(cfg: SimConfig, sweep: SweepSpec, cost_matrix=None):
     fixed-topology sweep shares: one layout for the whole sweep and one
     placement per cache size, both derived from the base seed. A given
     cost_matrix stands in for the drawn layout."""
-    if cost_matrix is None:
-        layout = random_lattice_layout(
-            cfg.n_users, cfg.n_servers, cfg.lattice_side,
-            substream(sweep.base_seed, "sweep-layout"),
+    layout_rng = substream(sweep.base_seed, "sweep-layout")
+    placements = {}
+    for m in sweep.cache_sizes:
+        cost_matrix, placements[m] = run_inputs(
+            replace(cfg, cache_size=m), layout_rng,
+            Random(mix_seed(sweep.base_seed, "sweep-placement", m)), cost_matrix=cost_matrix,
         )
-        cost_matrix = manhattan_cost_matrix(layout)
-    profile = zipf_profile(cfg.n_files, cfg.zipf_beta)
-    placements = {
-        m: proportional_placement(
-            profile, cfg.n_servers, m,
-            Random(mix_seed(sweep.base_seed, "sweep-placement", m)),
-        )
-        for m in sweep.cache_sizes
-    }
     return cost_matrix, placements
 
 
@@ -354,7 +346,10 @@ def _run_traced_point(cfg, sweep, matrix, args):
         matrix, placements = _fixed_topology(cfg, sweep, matrix)
         allocation = placements[m]
     # Materialize what the run would draw so the allocation can be dumped.
-    matrix, allocation = run_inputs(point_cfg, run_seed, cost_matrix=matrix, allocation=allocation)
+    matrix, allocation = run_inputs(
+        point_cfg, substream(run_seed, "layout"), substream(run_seed, "placement"),
+        cost_matrix=matrix, allocation=allocation,
+    )
     if args.dump_placement:
         with open(args.dump_placement, "w", encoding="utf-8") as fh:
             for k, files in enumerate(allocation.server_files):

@@ -88,21 +88,22 @@ def _trace_hook(trace, decision_hook):
     return hook
 
 
-def run_inputs(cfg: SimConfig, run_seed: int, *, cost_matrix=None, allocation=None):
-    """The (cost_matrix, allocation) pair of one run of a validated cfg.
+def run_inputs(cfg: SimConfig, layout_rng: Random, placement_rng: Random, *, profile=None,
+               cost_matrix=None, allocation=None):
+    """The (cost_matrix, allocation) pair of a validated cfg.
 
-    Each piece not given is drawn from its named sub-stream of the run seed
-    (layout, placement); a given one must match cfg's shape.
+    A piece not given is drawn: the lattice layout and its Manhattan cost
+    matrix from layout_rng, the placement of profile (by default cfg's Zipf
+    profile) from placement_rng. A given one must match cfg's shape.
     """
     n_servers = cfg.n_servers
     n_users = cfg.n_users
     n_files = cfg.n_files
 
     if cost_matrix is None:
-        layout = random_lattice_layout(
-            n_users, n_servers, cfg.lattice_side, substream(run_seed, "layout")
+        cost_matrix = manhattan_cost_matrix(
+            random_lattice_layout(n_users, n_servers, cfg.lattice_side, layout_rng)
         )
-        cost_matrix = manhattan_cost_matrix(layout)
     elif cost_matrix.n_users != n_users or cost_matrix.n_servers != n_servers:
         raise ConfigError(
             f"cost matrix is {cost_matrix.n_users}x{cost_matrix.n_servers}, "
@@ -110,10 +111,9 @@ def run_inputs(cfg: SimConfig, run_seed: int, *, cost_matrix=None, allocation=No
         )
 
     if allocation is None:
-        allocation = proportional_placement(
-            zipf_profile(n_files, cfg.zipf_beta), n_servers, cfg.cache_size,
-            substream(run_seed, "placement"),
-        )
+        if profile is None:
+            profile = zipf_profile(n_files, cfg.zipf_beta)
+        allocation = proportional_placement(profile, n_servers, cfg.cache_size, placement_rng)
     elif allocation.n_servers != n_servers or allocation.n_files != n_files:
         raise ConfigError("allocation does not match the configured system size")
     elif allocation.cache_size != cfg.cache_size:
@@ -139,20 +139,23 @@ def run_simulation(
     its departure. The run stops at the last arrival; the window spans the
     first counted arrival to the last counted departure.
 
-    cost_matrix and allocation are drawn from the run seed unless injected
-    (see run_inputs). decision_hook(time, user, file, candidates, queues,
-    decision) is called on every arrival once the strategy has decided,
-    before the job joins, so queues[decision.server] excludes it. trace,
-    when given, receives one text line per arrival from that same call,
-    before decision_hook: time,user,file,server,queue_len_seen,queries.
+    cost_matrix and allocation are drawn from the run seed's layout and
+    placement sub-streams unless injected (see run_inputs).
+    decision_hook(time, user, file, candidates, queues, decision) is called
+    on every arrival once the strategy has decided, before the job joins,
+    so queues[decision.server] excludes it. trace, when given, receives
+    one text line per arrival from that same call, before decision_hook:
+    time,user,file,server,queue_len_seen,queries.
     """
     validate_config(cfg)
     if isinstance(strategy, str):
         strategy = StrategySpec.parse(strategy)
 
     n_servers = cfg.n_servers
+    profile = zipf_profile(cfg.n_files, cfg.zipf_beta)
     cost_matrix, allocation = run_inputs(
-        cfg, run_seed, cost_matrix=cost_matrix, allocation=allocation
+        cfg, substream(run_seed, "layout"), substream(run_seed, "placement"),
+        profile=profile, cost_matrix=cost_matrix, allocation=allocation,
     )
     rows = cost_matrix.entries
     cands_by_file = candidate_table(allocation)
@@ -175,7 +178,7 @@ def run_simulation(
     # cumulative probability is pinned to 1.0.
     cum_rates = list(accumulate(cfg.arrival_rates))
     total_rate = cum_rates[-1]
-    cum_probs = zipf_profile(cfg.n_files, cfg.zipf_beta).cumulative()
+    cum_probs = profile.cumulative()
 
     horizon = cfg.horizon_events
     warmup = cfg.warmup_events

@@ -11,7 +11,7 @@ made up front: each run reports signs of overload on its RunResult.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class ConfigError(ValueError):
@@ -270,23 +270,28 @@ class CacheAllocation:
 
     server_files: tuple[frozenset[int], ...]
     n_files: int
+    # popularity.candidate_table's result, kept on the first call.
+    _candidate_table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Each server's files are scanned by min and max, and walked only to
+        # name the first unknown one.
         if not self.server_files:
             raise ConfigError("allocation must cover at least one server")
         size = len(self.server_files[0])
-        covered = set()
+        n_files = self.n_files
         for k, files in enumerate(self.server_files):
             if len(files) != size:
                 raise ConfigError(
                     f"server {k} caches {len(files)} files, expected {size}"
                 )
-            for f in files:
-                if not 0 <= f < self.n_files:
-                    raise ConfigError(f"server {k} caches unknown file {f}")
-            covered |= files
-        if len(covered) != self.n_files:
-            missing = sorted(set(range(self.n_files)) - covered)
+            if files and not (0 <= min(files) and max(files) < n_files):
+                for f in files:
+                    if not 0 <= f < n_files:
+                        raise ConfigError(f"server {k} caches unknown file {f}")
+        covered = frozenset().union(*self.server_files)
+        if len(covered) != n_files:
+            missing = sorted(set(range(n_files)) - covered)
             raise ConfigError(f"files {missing} are cached nowhere")
 
     @classmethod

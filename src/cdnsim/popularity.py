@@ -3,9 +3,13 @@ the candidate servers of each file."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from random import Random
 
+from .draws import sample, sample_plan
 from .model import CacheAllocation, ConfigError
 
 
@@ -49,30 +53,41 @@ def zipf_profile(n_files: int, beta: float) -> PopularityProfile:
     return PopularityProfile(tuple(w / total for w in weights))
 
 
-def _sample_without_replacement(weights: list[float], cache_size: int, rng: Random) -> list[int]:
-    # Draw, remove, renormalize: each pick is proportional to the remaining
-    # weights. Uniform weights reduce to a plain unweighted sample.
+def _cache_sampler(weights: list[float], cache_size: int, rng: Random):
+    # A function drawing one server's cache: draw, remove, renormalize, so
+    # each pick is proportional to the remaining weights. Uniform weights
+    # reduce to Random.sample(range(n), cache_size), drawn by draws.sample.
     n = len(weights)
-    if cache_size >= n:
-        return list(range(n))
     if min(weights) == max(weights):
-        return rng.sample(range(n), cache_size)
-    live = list(range(n))
-    pool = list(weights)
-    total = sum(pool)
-    picked = []
-    for _ in range(cache_size):
-        x = rng.random() * total
-        acc = 0.0
-        j = 0
-        for j, w in enumerate(pool):
-            acc += w
-            if x < acc:
-                break
-        picked.append(live[j])
-        total -= pool[j]
-        del live[j], pool[j]
-    return picked
+        files = range(n)
+        draws, pooled = sample_plan(n, cache_size)
+        getrandbits = rng.getrandbits
+        return lambda: sample(files, draws, pooled, getrandbits)
+
+    def weighted() -> list[int]:
+        live = list(range(n))
+        pool = list(weights)
+        total = sum(pool)
+        picked = []
+        for _ in range(cache_size):
+            x = rng.random() * total
+            acc = 0.0
+            j = 0
+            for j, w in enumerate(pool):
+                acc += w
+                if x < acc:
+                    break
+            picked.append(live[j])
+            total -= pool[j]
+            del live[j], pool[j]
+        return picked
+
+    return weighted
+
+
+@lru_cache(maxsize=32)
+def _full_replication(n_servers: int, n_files: int) -> CacheAllocation:
+    return CacheAllocation.from_sets([range(n_files)] * n_servers, n_files)
 
 
 def proportional_placement(
@@ -84,6 +99,10 @@ def proportional_placement(
     Repair rule: for each uncovered file (ascending), find the file with
     the most replicas network-wide (ties: lowest file index) and overwrite
     one of its copies on the lowest-index server holding it.
+
+    When cache_size == n_files every server holds every file and nothing
+    is drawn: the result is one shared allocation per (n_servers, n_files),
+    so its candidate table is built once per process.
     """
     n_files = profile.n_files
     if n_servers * cache_size < n_files:
@@ -92,15 +111,13 @@ def proportional_placement(
         )
     if cache_size > n_files:
         raise ConfigError(f"cache_size {cache_size} exceeds n_files {n_files}")
+    if cache_size == n_files:
+        return _full_replication(n_servers, n_files)
 
-    weights = list(profile.probs)
-    caches = [set(_sample_without_replacement(weights, cache_size, rng)) for _ in range(n_servers)]
+    draw = _cache_sampler(list(profile.probs), cache_size, rng)
+    caches = [set(draw()) for _ in range(n_servers)]
 
-    replicas = [0] * n_files
-    for cache in caches:
-        for f in cache:
-            replicas[f] += 1
-
+    replicas = Counter(chain.from_iterable(caches))
     for missing in range(n_files):
         if replicas[missing]:
             continue
@@ -115,10 +132,39 @@ def proportional_placement(
     return CacheAllocation.from_sets(caches, n_files)
 
 
-def candidate_table(allocation: CacheAllocation) -> list[tuple[int, ...]]:
-    """Servers holding each file, ascending, indexed by file; built once per run."""
-    table: list[list[int]] = [[] for _ in range(allocation.n_files)]
-    for k, cache in enumerate(allocation.server_files):
-        for f in cache:
-            table[f].append(k)
-    return [tuple(servers) for servers in table]
+class CandidateTable(list):
+    """The servers holding each file, as ascending tuples indexed by file,
+    with the memo slots that bind_strategy and queue_index read.
+
+    Files with equal tuples share a slot: slot[f] numbers file f's tuple
+    among the distinct tuples in order of first appearance, n_slots counts
+    them, and full is the slot of the tuple holding every one of the
+    n_servers servers, or -1. A table is shared by every run on its
+    allocation and must not be changed.
+    """
+
+    def __init__(self, table, n_servers: int) -> None:
+        super().__init__(map(tuple, table))
+        slot_of: dict[tuple[int, ...], int] = {}
+        self.slot = [slot_of.setdefault(c, len(slot_of)) for c in self]
+        self.n_slots = len(slot_of)
+        self.full = slot_of.get(tuple(range(n_servers)), -1)
+
+    @classmethod
+    def of(cls, table, n_servers: int) -> "CandidateTable":
+        """table itself if it is a CandidateTable, else one built from it."""
+        return table if isinstance(table, cls) else cls(table, n_servers)
+
+
+def candidate_table(allocation: CacheAllocation) -> CandidateTable:
+    """Servers holding each file, ascending, indexed by file; built on the
+    first call for an allocation and kept on it."""
+    table = allocation._candidate_table
+    if table is None:
+        lists: list[list[int]] = [[] for _ in range(allocation.n_files)]
+        for k, cache in enumerate(allocation.server_files):
+            for f in cache:
+                lists[f].append(k)
+        table = CandidateTable(lists, allocation.n_servers)
+        object.__setattr__(allocation, "_candidate_table", table)
+    return table

@@ -20,7 +20,7 @@ at 1 replay minqueue, and mcs with probe count >= len(candidates) replay
 minqueue. Only mcs can consume extra draws, and only when a random
 subset of cost-tied servers must be probed. It draws those probes from
 the stream's getrandbits exactly as Random.sample(boundary, need) would
-(_sample_ties), so the picks and every later draw are those of sample.
+(draws.sample), so the picks and every later draw are those of sample.
 
 wmc's endpoints are bound to the closures of exact twins. At cost weight
 0 every share is 0.0, so a score is q/Q, which is least where the queue q
@@ -47,7 +47,9 @@ from collections import defaultdict
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
+from .draws import sample as _sample_ties, sample_plan
 from .model import STRATEGY_FAMILIES, StrategySpec
+from .popularity import CandidateTable
 
 
 class MappingDecision(NamedTuple):
@@ -109,7 +111,7 @@ def queue_index(spec: StrategySpec, candidates_by_file, queues: Sequence[int]):
         buckets = False
     else:
         return None
-    if tuple(range(len(queues))) not in candidates_by_file:
+    if CandidateTable.of(candidates_by_file, len(queues)).full < 0:
         return None
     return QueueIndex(queues, buckets=buckets)
 
@@ -159,9 +161,7 @@ def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
     Returns (base, boundary, draws, pooled): base servers, in ascending
     order, are always probed; when draws is non-empty, len(draws) more are
     drawn uniformly from the cost-tied boundary, in candidate order, by
-    _sample_ties. draws holds one (bound, bit_length) pair per pick and
-    pooled names the branch of Random.sample that a sample of that size
-    from that boundary takes.
+    the draws module's sample; (draws, pooled) is its sample_plan.
     """
     n = len(candidates)
     probes = n_choices if n_choices < n else n
@@ -176,43 +176,8 @@ def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
     end = bisect_right(ordered, threshold, probes, n, key=cost_of)
     if end == probes:
         return tuple(sorted(ordered[:probes])), (), (), False
-    need = probes - first
-    # Random.sample's choice between its two branches (CPython 3.11).
-    n_ties = end - first
-    setsize = 21
-    if need > 5:
-        setsize += 4 ** math.ceil(math.log(need * 3, 4))
-    pooled = n_ties <= setsize
-    bounds = range(n_ties, n_ties - need, -1) if pooled else (n_ties,) * need
-    draws = tuple((m, m.bit_length()) for m in bounds)
+    draws, pooled = sample_plan(end - first, probes - first)
     return tuple(sorted(ordered[:first])), tuple(ordered[first:end]), draws, pooled
-
-
-def _sample_ties(boundary, draws, pooled: bool, getrandbits) -> list[int]:
-    """Random.sample(boundary, len(draws)) from the same getrandbits calls.
-
-    Follows CPython 3.11: each pick is a rejection loop on
-    getrandbits(bit_length) below its bound. The pooled branch swaps the
-    last unpicked entry into each picked position; the other draws
-    positions over the whole boundary and redraws any picked before.
-    """
-    picks = []
-    if pooled:
-        pool = list(boundary)
-        for m, bits in draws:
-            j = getrandbits(bits)
-            while j >= m:
-                j = getrandbits(bits)
-            picks.append(pool[j])
-            pool[j] = pool[m - 1]
-    else:
-        # Boundary servers are distinct, so a picked server marks its position.
-        for m, bits in draws:
-            j = getrandbits(bits)
-            while j >= m or boundary[j] in picks:
-                j = getrandbits(bits)
-            picks.append(boundary[j])
-    return picks
 
 
 def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: int, n_files: int,
@@ -223,8 +188,10 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
     prep runs on the first request of each (user, memo slot) and its
     result is kept for the rest of the run. prep depends on the file only
     through its candidate tuple, so files with equal tuples share one memo
-    slot per user (at full replication, all do). minqueue, and wmc at cost
-    weight 0 bound as minqueue, keep no memo.
+    slot per user (at full replication, all do): the slots are those of
+    the CandidateTable that candidate_table keeps per allocation, or of one
+    built here from any other table. minqueue, and wmc at cost weight 0
+    bound as minqueue, keep no memo.
 
     queue_index, from queue_index() and kept current by the caller, is
     read on the slot whose tuple holds every server; every other slot
@@ -236,12 +203,13 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
     param = spec.param
     if kind == "wmc" and param == 0.0:
         kind = "minqueue"  # its exact twin; see the module docstring
-    slot_of: dict[tuple[int, ...], int] = {}
-    slot = [slot_of.setdefault(tuple(c), len(slot_of)) for c in candidates_by_file]
-    memo = None if kind == "minqueue" else [[None] * n_files for _ in range(n_users)]
-    full = -1 if queue_index is None else slot_of.get(tuple(range(queue_index.n_servers)), -1)
-    random = rng.random
     n_servers = len(cost_rows[0])
+    table = CandidateTable.of(candidates_by_file, n_servers)
+    slot = table.slot
+    memo = None if kind == "minqueue" else [[None] * table.n_slots for _ in range(n_users)]
+    full = -1 if queue_index is None else table.full
+    candidates_by_file = list(table)  # an exact list indexes faster than a subclass
+    random = rng.random
     rows: dict[int, list[MappingDecision]] = {}  # query count -> each server's decision
     file_rows: list = [None] * n_files  # the row of each file's queue-reading choice
 

@@ -25,7 +25,7 @@ from cdnsim.model import (
     uniform_rates,
 )
 from cdnsim.oracle import mm1_mean_sojourn
-from cdnsim.popularity import candidate_table, proportional_placement, zipf_profile
+from cdnsim.popularity import CandidateTable, candidate_table, proportional_placement, zipf_profile
 from cdnsim.strategies import QueueIndex, queue_index
 from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
 
@@ -564,6 +564,21 @@ def test_engine_keeps_no_queue_index_where_no_decision_reads_one():
     assert tuple(range(100)) not in table
     for strategy in ("minqueue", "pss:0.5", "wmc:0.5"):
         assert queue_index(StrategySpec.parse(strategy), table, [0] * 100) is None
+
+
+def test_full_replication_runs_share_one_candidate_table():
+    # At cache_size == n_files every run gets the same allocation, and the
+    # engine, bind_strategy and queue_index read its one candidate table
+    # and slot map: no run after the first builds another.
+    cfg = default_config(cache_size=70, horizon_events=50)
+    run_simulation(cfg, "minqueue", 1)
+    shared = candidate_table(proportional_placement(zipf_profile(70, 0.0), 100, 70, Random(0)))
+    seen = []
+    with mock.patch.object(CandidateTable, "__init__", side_effect=AssertionError("rebuilt")):
+        for strategy in ("minqueue", "pss:0.5", "wmc:0.5", "wmc:1", "mcs:2", "mincost"):
+            run_simulation(cfg, strategy, 2, decision_hook=lambda t, u, f, cands, q, d:
+                           seen.append(cands is shared[f]))
+    assert len(seen) == 300 and all(seen)
 
 
 def test_average_queries_per_strategy_family():

@@ -205,8 +205,11 @@ def test_cache_allocation_validation():
         CacheAllocation.from_sets([{0}, {1}], n_files=3)
     with pytest.raises(ConfigError):  # unequal cache sizes
         CacheAllocation.from_sets([{0, 1}, {2}], n_files=3)
-    with pytest.raises(ConfigError):  # unknown file
+    with pytest.raises(ConfigError, match=r"^server 0 caches unknown file 3$"):
         CacheAllocation.from_sets([{0, 3}, {1, 2}], n_files=3)
+    # The first server holding an unknown file is named, with that file.
+    with pytest.raises(ConfigError, match=r"^server 2 caches unknown file -1$"):
+        CacheAllocation.from_sets([{0, 1}, {1, 2}, {-1, 2}, {0, 5}], n_files=3)
 
 
 CONFIG_TEXT = """

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cdnsim.engine import run_simulation
-from cdnsim.model import ConfigError, ServiceSpec, SimConfig
+from cdnsim.model import CacheAllocation, ConfigError, ServiceSpec, SimConfig
 from cdnsim.popularity import (
+    CandidateTable,
     PopularityProfile,
-    _sample_without_replacement,
+    _cache_sampler,
     candidate_table,
     proportional_placement,
     zipf_profile,
@@ -158,11 +159,8 @@ def test_repair_rule_two_servers_one_slot_each():
     seen_duplicate = 0
     for seed in range(300):
         alloc = proportional_placement(profile, 2, 1, Random(seed))
-        mirror = Random(seed)
-        pre = [
-            frozenset(_sample_without_replacement(list(profile.probs), 1, mirror))
-            for _ in range(2)
-        ]
+        draw = _cache_sampler(list(profile.probs), 1, Random(seed))
+        pre = [frozenset(draw()) for _ in range(2)]
         if pre[0] == pre[1]:
             seen_duplicate += 1
         assert alloc.server_files == tuple(_repair_oracle(pre, 2))
@@ -234,3 +232,33 @@ def test_candidate_set_matches_membership_scan():
 def test_full_replication_candidates_are_all_servers():
     alloc = proportional_placement(zipf_profile(5, 0.0), 4, 5, Random(1))
     assert candidate_table(alloc) == [(0, 1, 2, 3)] * 5
+
+
+def test_full_replication_is_one_shared_allocation_that_draws_nothing():
+    # cache_size == n_files: every server holds every file, whatever the
+    # profile, and the placement stream is left as it was.
+    rng = Random(4)
+    state = rng.getstate()
+    alloc = proportional_placement(zipf_profile(70, 1.3), 100, 70, rng)
+    assert rng.getstate() == state
+    assert alloc == CacheAllocation.from_sets([set(range(70))] * 100, 70)
+    assert proportional_placement(zipf_profile(70, 0.0), 100, 70, Random(5)) is alloc
+    assert proportional_placement(zipf_profile(70, 0.0), 99, 70, Random(5)) is not alloc
+    table = candidate_table(alloc)
+    assert table == [tuple(range(100))] * 70
+    assert candidate_table(alloc) is table
+    assert table.slot == [0] * 70 and table.n_slots == 1 and table.full == 0
+
+
+def test_candidate_table_slots_number_distinct_tuples_in_first_appearance_order():
+    # CandidateTable is the one slot map: built from the allocation by
+    # candidate_table, or from any table of candidate sequences.
+    table = CandidateTable([[1, 2], (0,), (1, 2), [0, 1, 2]], 3)
+    assert table == [(1, 2), (0,), (1, 2), (0, 1, 2)]
+    assert table.slot == [0, 1, 0, 2] and table.n_slots == 3 and table.full == 2
+    assert CandidateTable.of(table, 3) is table
+    assert CandidateTable([(2, 1, 0)], 3).full == -1  # not ascending: scanned, not indexed
+    alloc = proportional_placement(zipf_profile(70, 0.0), 100, 8, Random(3))
+    built = candidate_table(alloc)
+    assert built == CandidateTable(list(built), 100) and built.full == -1
+    assert built.slot == CandidateTable(list(built), 100).slot

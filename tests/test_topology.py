@@ -33,6 +33,12 @@ def test_layout_rejects_out_of_bounds_points():
         LatticeLayout(side=3, users=((0, 0),), servers=((-1, 0),))
     with pytest.raises(ConfigError):
         LatticeLayout(side=0, users=(), servers=())
+    # The first point off the grid is named, users before servers.
+    with pytest.raises(ConfigError, match=r"^server 2 at \(1, 3\) is off the 3x3 grid$"):
+        LatticeLayout(side=3, users=((0, 0), (2, 2)),
+                      servers=((0, 2), (2, 0), (1, 3), (1, 1), (-1, 0)))
+    with pytest.raises(ConfigError, match=r"^user 1 at \(3, 0\) is off the 3x3 grid$"):
+        LatticeLayout(side=3, users=((0, 0), (3, 0), (0, -1)), servers=((1, 5),))
 
 
 def test_random_layout_is_deterministic_per_seed():
@@ -85,6 +91,31 @@ def test_manhattan_matrix_properties(side, n_users, n_servers, seed):
             ux, uy = layout.users[i]
             sx, sy = layout.servers[k]
             assert cost == abs(ux - sx) + abs(uy - sy)
+
+
+def _layout_cases():
+    # (name, layout): one-cell lattice; default side; side 1000 with every
+    # user and server coordinate distinct; many nodes on a few cells.
+    rng = Random(11)
+    xs, ys = rng.sample(range(1000), 150), rng.sample(range(1000), 150)
+    distinct = LatticeLayout(1000, tuple(zip(xs[:50], ys[:50])), tuple(zip(xs[50:], ys[50:])))
+    cells = [(0, 0), (2, 1), (1, 2)]
+    colliding = LatticeLayout(3, tuple(rng.choice(cells) for _ in range(40)),
+                              tuple(rng.choice(cells) for _ in range(30)))
+    return [("side1", random_lattice_layout(30, 20, 1, rng)),
+            ("side20", random_lattice_layout(100, 100, 20, rng)),
+            ("side1000_distinct", distinct),
+            ("colliding", colliding)]
+
+
+@pytest.mark.parametrize("name, layout", _layout_cases())
+def test_manhattan_matrix_equals_per_entry_distances(name, layout):
+    entries = manhattan_cost_matrix(layout).entries
+    assert entries == tuple(
+        tuple(float(abs(ux - sx) + abs(uy - sy)) for sx, sy in layout.servers)
+        for ux, uy in layout.users
+    )
+    assert all(type(c) is float for row in entries for c in row)
 
 
 def test_cost_matrix_roundtrip(tmp_path):
