@@ -158,18 +158,19 @@ def run_simulation(
         profile=profile, cost_matrix=cost_matrix, allocation=allocation,
     )
     rows = cost_matrix.entries
-    cands_by_file = candidate_table(allocation)
+    table = candidate_table(allocation)
 
-    index = queue_index(strategy, cands_by_file, [0] * n_servers)
+    index = queue_index(strategy, table, [0] * n_servers)
     buckets = None if index is None else index.buckets
 
     arr_rng = substream(run_seed, "arrivals")
     file_rng = substream(run_seed, "files")
     svc_rng = substream(run_seed, "service")
     decide = bind_strategy(
-        strategy, rows, cands_by_file, cfg.n_users, cfg.n_files, substream(run_seed, "strategy"),
+        strategy, rows, table, cfg.n_users, cfg.n_files, substream(run_seed, "strategy"),
         queue_index=index,
     )
+    cands_by_file = list(table)  # the hook's; an exact list indexes faster than a subclass
 
     hook = decision_hook if trace is None else _trace_hook(trace, decision_hook)
 
