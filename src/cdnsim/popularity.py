@@ -87,7 +87,8 @@ def _cache_sampler(weights: list[float], cache_size: int, rng: Random):
 
 @lru_cache(maxsize=32)
 def _full_replication(n_servers: int, n_files: int) -> CacheAllocation:
-    return CacheAllocation.from_sets([range(n_files)] * n_servers, n_files)
+    # Every server holds the one frozenset of the whole library.
+    return CacheAllocation((frozenset(range(n_files)),) * n_servers, n_files)
 
 
 def proportional_placement(
