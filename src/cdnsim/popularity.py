@@ -145,10 +145,12 @@ class CandidateTable(list):
     """
 
     def __init__(self, table, n_servers: int) -> None:
-        super().__init__(map(tuple, table))
         slot_of: dict[tuple[int, ...], int] = {}
-        self.slot = [slot_of.setdefault(c, len(slot_of)) for c in self]
-        self.n_slots = len(slot_of)
+        self.slot = [slot_of.setdefault(c, len(slot_of)) for c in map(tuple, table)]
+        # Files with equal tuples share the first one, which slot_of keeps.
+        distinct = list(slot_of)
+        super().__init__(map(distinct.__getitem__, self.slot))
+        self.n_slots = len(distinct)
         self.full = slot_of.get(tuple(range(n_servers)), -1)
 
     @classmethod
