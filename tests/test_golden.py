@@ -4,16 +4,18 @@ Short sweeps of the pss, wmc and mcs trade-off grids at M = 2, 8 and 70
 (2 runs of 2,000 arrivals per point), one of them also with
 --fixed-topology; 500-arrival traces of single runs that take the queue
 index at full replication, the memo on partial replication, wmc's
-endpoint twins and mcs's tie sampling; and --dump-placement files at
-M = 2, 8 and 70, drawn per run and from a fixed topology. A change that
-alters any layout, placement, decision or draw changes one of these
-files.
+endpoint twins, mincost and pss:0, and mcs's tie sampling;
+--dump-placement files at M = 2, 8 and 70, drawn per run and from a
+fixed topology; and the replayed policy values that `simulate
+oracle-check` prints. A change that alters any layout, placement,
+decision or draw changes one of these files.
 
 The files in tests/data/golden were written by this module. To rewrite
 them after a change that is meant to alter outputs (and says so), run
 `PYTHONPATH=src python tests/test_golden.py`.
 """
 
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -30,13 +32,18 @@ SWEEPS = {
     "mcs": "1,2,3,4,8,12,16",
 }
 # At M=70 every file is on every server, so these read the queue index.
+# mincost, pss:0 and wmc:1 take pss's switch rule at switch probability 0.
 TRACES = {
     "wmc0_M70": ("wmc:0", 70),
     "wmc0.5_M70": ("wmc:0.5", 70),
     "pss0.5_M70": ("pss:0.5", 70),
     "wmc1_M8": ("wmc:1", 8),
+    "wmc1_M70": ("wmc:1", 70),
     "wmc0.5_M8": ("wmc:0.5", 8),
     "mcs3_M8": ("mcs:3", 8),
+    "mincost_M8": ("mincost", 8),
+    "mincost_M70": ("mincost", 70),
+    "pss0_M8": ("pss:0", 8),
 }
 # Placement dumps: (cache size, extra flags). At M=2 a uniform cache draw
 # takes Random.sample's set branch, at M=8 its pool branch; M=70 is full
@@ -48,6 +55,8 @@ PLACEMENTS = {
     "M8_fixed": (8, ["--fixed-topology"]),
     "M70_fixed": (70, ["--fixed-topology"]),
 }
+# Every replayed policy value of a brute-force dominance check, in repr.
+ORACLE_ARGV = ["oracle-check", "--instances", "6", "--seed", "4", "--cost-weights", "0,0.5,1"]
 
 
 def _sweep_argv(family: str, out: Path, *extra: str) -> list[str]:
@@ -67,6 +76,11 @@ def _placement_argv(name: str, out: Path, placement: Path) -> list[str]:
     return ["--strategy", "mincost", "--cache-sizes", str(m), "--runs", "1",
             "--events", "100", "--warmup", "10", "--seed", "9", *extra,
             "--out", str(out), "--dump-placement", str(placement)]
+
+
+def _write_oracle_check(path: Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh, redirect_stdout(fh):
+        assert main(ORACLE_ARGV) == 0
 
 
 @pytest.mark.parametrize("family", sorted(SWEEPS))
@@ -96,6 +110,12 @@ def test_trace_is_byte_identical_to_the_golden_copy(name, tmp_path):
     assert trace.read_bytes() == (GOLDEN / f"trace_{name}.csv").read_bytes()
 
 
+def test_oracle_check_output_is_byte_identical_to_the_golden_copy(tmp_path):
+    out = tmp_path / "oracle_check.txt"
+    _write_oracle_check(out)
+    assert out.read_bytes() == (GOLDEN / "oracle_check.txt").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for family in SWEEPS:
@@ -107,3 +127,4 @@ if __name__ == "__main__":
     for name in PLACEMENTS:
         main(_placement_argv(name, point_csv, GOLDEN / f"placement_{name}.txt"))
     point_csv.unlink()
+    _write_oracle_check(GOLDEN / "oracle_check.txt")
