@@ -102,6 +102,21 @@ def _point_setup(cfg: SimConfig, sweep: SweepSpec):
     return setups
 
 
+def _sweep_runs(cfg: SimConfig, sweep: SweepSpec, cost_matrix, fixed_topology: bool):
+    # (config, strategy, run seed, cost matrix, allocation) of every run, in
+    # point order and run order within a point.
+    setups = _point_setup(cfg, sweep)
+    placements = {}
+    if fixed_topology:
+        cost_matrix, placements = _fixed_topology(cfg, sweep, cost_matrix)
+    return [
+        (point_cfg, strategy, mix_seed(sweep.base_seed, point_idx, run_idx), cost_matrix,
+         placements.get(point_cfg.cache_size))
+        for point_idx, (point_cfg, strategy) in enumerate(setups)
+        for run_idx in range(sweep.n_runs)
+    ]
+
+
 def _aggregate_point(cfg: SimConfig, sweep: SweepSpec, m: int, param, results) -> AggregateResult:
     return replace(
         aggregate_runs(results, param=param),
@@ -128,18 +143,7 @@ def run_sweep(
     fixed_topology freezes one layout for the whole sweep and one
     placement per cache size, both derived from the base seed.
     """
-    setups = _point_setup(cfg, sweep)
-    placements = {}
-    if fixed_topology:
-        cost_matrix, placements = _fixed_topology(cfg, sweep, cost_matrix)
-
-    jobs = []
-    for point_idx, (point_cfg, strategy) in enumerate(setups):
-        allocation = placements.get(point_cfg.cache_size)
-        for run_idx in range(sweep.n_runs):
-            run_seed = mix_seed(sweep.base_seed, point_idx, run_idx)
-            jobs.append((point_cfg, strategy, run_seed, cost_matrix, allocation))
-
+    jobs = _sweep_runs(cfg, sweep, cost_matrix, fixed_topology)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_run, jobs, chunksize=1))
@@ -335,16 +339,10 @@ def _main_simulate(argv) -> int:
 
 
 def _run_traced_point(cfg, sweep, matrix, args):
-    # Single point, single run, with the seed and, under --fixed-topology,
-    # the cost matrix and placement that run_sweep would give it.
+    # The sweep's single run, as run_sweep would make it.
     (m, param) = sweep.points()[0]
-    [(point_cfg, strategy)] = _point_setup(cfg, sweep)
-    run_seed = mix_seed(sweep.base_seed, 0, 0)
-
-    allocation = None
-    if args.fixed_topology:
-        matrix, placements = _fixed_topology(cfg, sweep, matrix)
-        allocation = placements[m]
+    [(point_cfg, strategy, run_seed, matrix, allocation)] = _sweep_runs(
+        cfg, sweep, matrix, args.fixed_topology)
     # Materialize what the run would draw so the allocation can be dumped.
     matrix, allocation = run_inputs(
         point_cfg, substream(run_seed, "layout"), substream(run_seed, "placement"),

@@ -76,9 +76,6 @@ class ServiceSpec:
     def mean(self) -> float:
         return 1.0 / self.value if self.kind == "exp" else self.value
 
-    def __str__(self) -> str:
-        return f"{self.kind}:{self.value:g}"
-
 
 # Strategy families, in the order they are documented everywhere.
 STRATEGY_FAMILIES = ("mincost", "minqueue", "pss", "wmc", "mcs")

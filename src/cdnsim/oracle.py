@@ -198,28 +198,20 @@ def replay_strategy(
     n_servers = inst.cost.n_servers
     objective = 0.0
     for services in sample_paths:
+        # Each server's completion times, for the queue vector at each arrival.
         completion: list[list[float]] = [[] for _ in range(n_servers)]
-        free_at = [0.0] * n_servers
-        total_cost = 0.0
-        total_sojourn = 0.0
+        servers = []
         for j in range(inst.n_requests):
             t = inst.arrival_times[j]
             queues = [sum(1 for c in completion[k] if c > t) for k in range(n_servers)]
             decide = bind_strategy(strategy, inst.cost.entries, table, inst.cost.n_users,
                                    inst.allocation.n_files, rng,
                                    queue_index=queue_index(strategy, table, queues))
-            decision = decide(inst.users[j], inst.files[j], queues)
-            k = decision.server
-            start = free_at[k] if free_at[k] > t else t
-            done = start + services[j]
-            free_at[k] = done
-            completion[k].append(done)
-            total_cost += inst.cost.entries[inst.users[j]][k]
-            total_sojourn += done - t
-        n = inst.n_requests
-        objective += (
-            cost_weight * (total_cost / n) + (1.0 - cost_weight) * (total_sojourn / n)
-        )
+            k = decide(inst.users[j], inst.files[j], queues).server
+            free_at = completion[k][-1] if completion[k] else 0.0
+            completion[k].append((free_at if free_at > t else t) + services[j])
+            servers.append(k)
+        objective += sequence_objective(inst, servers, cost_weight, [services])
     return objective / len(sample_paths)
 
 

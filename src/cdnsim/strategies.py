@@ -4,34 +4,36 @@ bind_strategy compiles a spec into one closure per run, fn(user, file,
 queues), that makes each decision in a single call: it looks up the static
 part of the decision, chooses, breaks the tie and returns a
 MappingDecision naming the chosen server and how many queue-state queries
-the choice needed. The static part comes from the family's prep(candidates,
+the choice needed. The static part comes from the rule's prep(candidates,
 costs, param), built from the requesting user's cost row (fixed within a
 run) on the first request of each (user, memo slot) and kept. Decisions
 are prebuilt, one row of MappingDecision(k, count) over the servers k per
 query count the binding returns, so a returned decision may be the same
 object as an earlier one.
 
+Three rules decide the five families, one closure each: pss's switch
+rule, wmc's weighted rule and mcs's probe rule. The paper's closed-form
+extremes are the switch rule's ends, and wmc's endpoints are their exact
+twins: _rule binds mincost and wmc:1 to switch 0, minqueue and wmc:0 to
+switch 1. At cost weight 0 every share is 0.0, so a score is q/Q, least
+where the queue q is (q/Q is strictly increasing in integer q below
+2**52). At cost weight 1 every queue term is 0.0 * (q/Q) = 0.0, so a
+score is its share: wmc:1's cheapest branch picks from the min-share set
+of each (user, memo slot), and still reports len(candidates) queries.
+
 Randomness discipline: every decision consumes exactly one uniform from
 the stream for its final pick (argmin ties are broken uniformly; with a
-unique argmin the draw is still burned). pss reuses its single branch
-uniform, rescaled back to [0, 1), as that pick draw. Under a shared seed
-this makes pss at switch probability 0 replay mincost draw-for-draw and
-at 1 replay minqueue, and mcs with probe count >= len(candidates) replay
-minqueue. Only mcs can consume extra draws, and only when a random
-subset of cost-tied servers must be probed. It draws those probes from
-the stream's getrandbits exactly as Random.sample(boundary, need) would
-(draws.sample), so the picks and every later draw are those of sample.
+unique argmin the draw is still burned). The switch rule reuses its
+single branch uniform, rescaled back to [0, 1), as that pick draw; at
+switch 0, (x - 0.0) / (1.0 - 0.0) is x exactly. mcs with probe count >=
+len(candidates) replays minqueue. Only mcs can consume extra draws, and
+only when a random subset of cost-tied servers must be probed. It draws
+those probes from the stream's getrandbits exactly as
+Random.sample(boundary, need) would (draws.sample), so the picks and
+every later draw are those of sample.
 
-wmc's endpoints are bound to the closures of exact twins. At cost weight
-0 every share is 0.0, so a score is q/Q, which is least where the queue q
-is (q/Q is strictly increasing in integer q below 2**52): wmc:0 is
-minqueue, draw for draw. At cost weight 1 every queue term is
-0.0 * (q/Q) = 0.0, so a score is its share: wmc:1 takes the fixed
-min-share set of each (user, memo slot) like mincost, reads no queue, and
-still reports len(candidates) queries.
-
-Queue index: minqueue, the queue branch of pss and wmc below cost weight
-1 read queue state across the whole candidate set. When a candidate tuple
+Queue index: the switch rule's queue branch and the weighted rule read
+queue state across the whole candidate set. When a candidate tuple
 holds every server, they read a QueueIndex instead of scanning it: the
 sorted list of servers at the lowest queue length, or the jobs total.
 queue_index decides when one is kept; the engine updates it at every
@@ -68,10 +70,9 @@ class QueueIndex:
     departure, moving a server between lists with bisect and insort.
     """
 
-    __slots__ = ("n_servers", "total", "buckets", "lowest")
+    __slots__ = ("total", "buckets", "lowest")
 
     def __init__(self, queues: Sequence[int], *, buckets: bool) -> None:
-        self.n_servers = len(queues)
         self.total = None
         self.buckets = None
         self.lowest = None
@@ -86,28 +87,42 @@ class QueueIndex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QueueIndex):
             return NotImplemented
-        return (self.n_servers, self.total, self.buckets, self.lowest) == (
-            other.n_servers, other.total, other.buckets, other.lowest)
+        return (self.total, self.buckets, self.lowest) == (other.total, other.buckets, other.lowest)
 
     def __repr__(self) -> str:
-        return (f"QueueIndex(n_servers={self.n_servers}, total={self.total}, "
-                f"buckets={self.buckets}, lowest={self.lowest})")
+        return f"QueueIndex(total={self.total}, buckets={self.buckets}, lowest={self.lowest})"
+
+
+def _rule(spec: StrategySpec) -> tuple[str, float, bool]:
+    # (rule, param, by_share): ("switch", switch probability, by_share),
+    # ("wmc", cost weight strictly inside (0, 1), False) or ("mcs", probe
+    # count, False). With by_share the switch rule's cheapest branch picks
+    # from the min-share set at cost weight 1, not the cost-argmin set.
+    kind, param = spec.kind, spec.param
+    if kind == "mincost":
+        return "switch", 0.0, False
+    if kind == "minqueue" or (kind == "wmc" and param == 0.0):
+        return "switch", 1.0, False
+    if kind == "wmc" and param == 1.0:
+        return "switch", 0.0, True
+    if kind == "pss":
+        return "switch", param, False
+    return kind, param, False
 
 
 def queue_index(spec: StrategySpec, candidates_by_file, queues: Sequence[int]):
     """The QueueIndex over queues that spec reads, or None.
 
-    One is built only when the family reads queue state across a whole
-    candidate set and some candidate tuple holds every server. minqueue,
-    pss with a switch probability above 0 and wmc at cost weight 0 (bound
-    as minqueue) keep the buckets; wmc strictly between cost weights 0 and
-    1 keeps only the total. mincost, mcs, pss:0 and wmc:1 read no whole
-    candidate set's queues and keep none.
+    One is built only when the rule reads queue state across a whole
+    candidate set and some candidate tuple holds every server. The switch
+    rule above switch probability 0 keeps the buckets; the weighted rule
+    keeps only the total. The switch rule at 0 and the probe rule read no
+    whole candidate set's queues and keep none.
     """
-    kind, param = spec.kind, spec.param
-    if kind == "minqueue" or (kind == "pss" and param > 0.0) or (kind == "wmc" and param == 0.0):
+    rule, param, _ = _rule(spec)
+    if rule == "switch" and param > 0.0:
         buckets = True
-    elif kind == "wmc" and param < 1.0:
+    elif rule == "wmc":
         buckets = False
     else:
         return None
@@ -182,31 +197,31 @@ def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
 
 def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: int, n_files: int,
                   rng, *, queue_index: QueueIndex | None = None):
-    """Compile a spec into its family's per-request closure fn(user, file, queues).
+    """Compile a spec into its rule's per-request closure fn(user, file, queues).
 
-    cost_rows[user] holds that user's cost of every server. The family's
-    prep runs on the first request of each (user, memo slot) and its
-    result is kept for the rest of the run. prep depends on the file only
-    through its candidate tuple, so files with equal tuples share one memo
-    slot per user (at full replication, all do): the slots are those of
-    the CandidateTable that candidate_table keeps per allocation, or of one
-    built here from any other table. minqueue, and wmc at cost weight 0
-    bound as minqueue, keep no memo.
+    The closure is one of three: switch (mincost, minqueue, pss and wmc's
+    endpoints), weighted (wmc strictly inside cost weights 0 and 1) or
+    probe (mcs); see the module docstring. cost_rows[user] holds that
+    user's cost of every server. The rule's prep runs on the first request
+    of each (user, memo slot) and its result is kept for the rest of the
+    run. prep depends on the file only through its candidate tuple, so
+    files with equal tuples share one memo slot per user (at full
+    replication, all do): the slots are those of the CandidateTable that
+    candidate_table keeps per allocation, or of one built here from any
+    other table. The switch rule at 1 never reads its memo and keeps none.
 
     queue_index, from queue_index() and kept current by the caller, is
     read on the slot whose tuple holds every server; every other slot
     scans the queues it is called with.
     """
-    kind = spec.kind
-    if kind not in STRATEGY_FAMILIES:
-        raise ValueError(f"unknown strategy kind {kind!r}")
-    param = spec.param
-    if kind == "wmc" and param == 0.0:
-        kind = "minqueue"  # its exact twin; see the module docstring
+    if spec.kind not in STRATEGY_FAMILIES:
+        raise ValueError(f"unknown strategy kind {spec.kind!r}")
+    rule, param, by_share = _rule(spec)
     n_servers = len(cost_rows[0])
     table = CandidateTable.of(candidates_by_file, n_servers)
     slot = table.slot
-    memo = None if kind == "minqueue" else [[None] * table.n_slots for _ in range(n_users)]
+    memo = (None if rule == "switch" and param == 1.0
+            else [[None] * table.n_slots for _ in range(n_users)])
     full = -1 if queue_index is None else table.full
     candidates_by_file = list(table)  # an exact list indexes faster than a subclass
     random = rng.random
@@ -225,36 +240,23 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
         return row
 
     def cost_ties(user: int, file_index: int) -> tuple[MappingDecision, ...]:
-        # Memo entry of mincost and pss: the cost-argmin set, as decisions.
+        # Switch memo entry: the cost-argmin set, as decisions.
         zero = decisions(0)
         ties = _argmin_set(candidates_by_file[file_index], cost_rows[user])
         return tuple([zero[k] for k in ties])
 
     def share_ties(user: int, file_index: int) -> tuple[MappingDecision, ...]:
-        # Memo entry of wmc:1: the min-share set, in candidate order, as
-        # decisions that count a query per candidate.
+        # Switch memo entry by share: the min-share set at cost weight 1, in
+        # candidate order, as decisions that count a query per candidate.
         candidates = candidates_by_file[file_index]
-        shares = _shares(candidates, cost_rows[user], param)
+        shares = _shares(candidates, cost_rows[user], 1.0)
         best = min(shares)
         row = decisions(len(candidates))
         return tuple([row[k] for k, share in zip(candidates, shares) if share == best])
 
-    if kind == "mincost" or (kind == "wmc" and param == 1.0):
-        fill = cost_ties if kind == "mincost" else share_ties
-
-        def decide(user: int, file_index: int, queues) -> MappingDecision:
-            # A fixed tie set per (user, memo slot); never inspects queues.
-            s = slot[file_index]
-            ties = memo[user][s]
-            if ties is None:
-                ties = memo[user][s] = fill(user, file_index)
-            j = int(random() * len(ties))
-            return ties[j] if j < len(ties) else ties[-1]
-
-    elif kind in ("minqueue", "pss"):
-        # minqueue is pss's queue branch on every request: pss at switch
-        # probability 1 replays it draw for draw, and never reads the memo.
-        switch = 1.0 if kind == "minqueue" else param
+    if rule == "switch":
+        switch = param
+        fill = share_ties if by_share else cost_ties
         buckets = None if queue_index is None else queue_index.buckets
 
         def decide(user: int, file_index: int, queues) -> MappingDecision:
@@ -282,12 +284,12 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
             s = slot[file_index]
             ties = memo[user][s]
             if ties is None:
-                ties = memo[user][s] = cost_ties(user, file_index)
+                ties = memo[user][s] = fill(user, file_index)
             # switch < 1 here: at 1, x < 1 always takes the queue branch.
             j = int((x - switch) / (1.0 - switch) * len(ties))
             return ties[j] if j < len(ties) else ties[-1]
 
-    elif kind == "wmc":
+    elif rule == "wmc":
         load_weight = 1.0 - param
 
         def decide(user: int, file_index: int, queues) -> MappingDecision:

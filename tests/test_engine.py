@@ -516,7 +516,7 @@ class IndexSpy:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    strategy=st.sampled_from(("minqueue", "pss:0.5", "wmc:0.5", "wmc:0")),
+    strategy=st.sampled_from(("minqueue", "pss:0.5", "pss:1", "wmc:0.5", "wmc:0")),
     service=st.sampled_from(("exp:1", "const:1")),
     n_servers=st.integers(1, 40),
     n_users=st.integers(1, 4),
@@ -534,7 +534,7 @@ def test_engine_queue_index_matches_a_rebuild_at_every_arrival(
                          arrival_rates=uniform_rates(n_users, load * n_servers / n_users),
                          service=ServiceSpec.parse(service))
     spy = IndexSpy()
-    buckets = strategy != "wmc:0.5"  # wmc:0 is bound as minqueue
+    buckets = strategy != "wmc:0.5"  # the rest take the switch rule at 1
     seen = []
 
     def hook(t, user, fidx, cands, queues, decision):
