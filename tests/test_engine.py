@@ -534,7 +534,7 @@ def test_engine_queue_index_matches_a_rebuild_at_every_arrival(
                          arrival_rates=uniform_rates(n_users, load * n_servers / n_users),
                          service=ServiceSpec.parse(service))
     spy = IndexSpy()
-    buckets = strategy != "wmc:0.5"  # the rest take the switch rule at 1
+    buckets = strategy != "wmc:0.5"  # the rest take the switch rule, which keeps buckets
     seen = []
 
     def hook(t, user, fidx, cands, queues, decision):
