@@ -369,7 +369,7 @@ def _main_oracle_check(argv) -> int:
     # Not advertised: brute-force dominance self-test on random tiny instances.
     # Prints the oracle and replayed policy values in repr, one line per
     # (instance, weight, policy), so two versions' replays compare as bytes.
-    from .oracle import exhaustive_objective_search, random_tiny_instance, replay_strategy, _service_samples
+    from .oracle import exhaustive_objective_search, random_tiny_instance, replay_strategy
 
     parser = argparse.ArgumentParser(prog="simulate oracle-check")
     parser.add_argument("--instances", type=int, default=20)
@@ -390,11 +390,10 @@ def _main_oracle_check(argv) -> int:
     failures = 0
     for i in range(args.instances):
         inst = random_tiny_instance(rng)
-        paths = _service_samples(inst, 1, rng)
         for w in weights:
             _, best = exhaustive_objective_search(inst, w)
             for name in policies:
-                val = replay_strategy(inst, name, w, paths, Random(rng.randrange(2**32)))
+                val = replay_strategy(inst, name, w, Random(rng.randrange(2**32)))
                 dominated = best <= val + 1e-9
                 failures += not dominated
                 print(f"instance {i} w={w} {name}: oracle {best!r} policy {val!r}"
@@ -413,10 +412,7 @@ def main(argv=None) -> int:
         if argv and argv[0] == "oracle-check":
             return _main_oracle_check(argv[1:])
         return _main_simulate(argv)
-    except ConfigError as err:
-        print(f"simulate: error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ConfigError, OSError) as err:
         print(f"simulate: error: {err}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ made up front: each run reports signs of overload on its RunResult.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class ConfigError(ValueError):
@@ -168,17 +168,11 @@ def default_config(**overrides) -> SimConfig:
         n_users=100,
         n_files=70,
         cache_size=8,
-        arrival_rates=uniform_rates(100, 0.9),
         service=ServiceSpec.exponential(1.0),
         horizon_events=100_000,
-        zipf_beta=0.0,
-        warmup_events=0,
-        lattice_side=20,
-        base_seed=0,
     )
-    if "n_users" in overrides and "arrival_rates" not in overrides:
-        base["arrival_rates"] = uniform_rates(overrides["n_users"], 0.9)
     base.update(overrides)
+    base.setdefault("arrival_rates", uniform_rates(base["n_users"], 0.9))
     return validate_config(SimConfig(**base))
 
 
@@ -410,11 +404,10 @@ def parse_config(text: str) -> tuple[SimConfig, StrategySpec | None]:
     if "arrival_rate" in fields and "arrival_rates" in fields:
         raise ConfigError("give either arrival_rate or arrival_rates, not both")
     shared_rate = fields.pop("arrival_rate", None)
+    cfg = default_config(**fields)
     if shared_rate is not None:
-        n_users = fields.get("n_users", 100)
-        fields["arrival_rates"] = uniform_rates(n_users, shared_rate)
-
-    return default_config(**fields), strategy
+        cfg = validate_config(replace(cfg, arrival_rates=uniform_rates(cfg.n_users, shared_rate)))
+    return cfg, strategy
 
 
 def load_config(path) -> tuple[SimConfig, StrategySpec | None]:

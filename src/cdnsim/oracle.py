@@ -3,7 +3,10 @@
 Closed-form queueing results (M/M/1 sojourn, the power-of-d-choices mean
 queue) validate the event engine, and a brute-force search over all
 feasible assignment sequences of a tiny instance bounds every mapping
-strategy from below on a fixed trace. Strategies are replayed through
+strategy from below on a fixed trace. Tiny instances have deterministic
+(constant) service: only then does the best fixed sequence bound an
+adaptive policy, which sees the queues and may choose differently on
+each service path. Strategies are replayed through
 strategies.bind_strategy with the queue index the engine would keep, so
 they take the decision path the engine runs; nothing here imports the
 engine itself.
@@ -57,8 +60,8 @@ def supermarket_mean_queue(load: float, n_choices: int) -> float:
 
 @dataclass(frozen=True)
 class TinyInstance:
-    """A fixed request trace over a toy system, small enough to enumerate
-    every feasible assignment sequence."""
+    """A fixed request trace over a toy system with constant service,
+    small enough to enumerate every feasible assignment sequence."""
 
     cost: CostMatrix
     allocation: CacheAllocation
@@ -71,6 +74,8 @@ class TinyInstance:
         t = len(self.arrival_times)
         if not (len(self.users) == len(self.files) == t):
             raise ConfigError("arrival_times, users and files must have equal length")
+        if self.service.kind != "const":
+            raise ConfigError(f"tiny instances need constant service, got {self.service.kind!r}")
         if not 1 <= t <= 8:
             raise ConfigError("instance must carry between 1 and 8 requests")
         if any(b <= a for a, b in zip(self.arrival_times, self.arrival_times[1:])):
@@ -96,79 +101,54 @@ class TinyInstance:
         return [table[f] for f in self.files]
 
 
-def _service_samples(inst: TinyInstance, n_paths: int, rng: Random) -> list[list[float]]:
-    # One row per sample path, one duration per request index. Shared across
-    # sequences so comparisons use common random numbers.
-    if inst.service.kind == "const":
-        return [[inst.service.value] * inst.n_requests]
-    return [
-        [rng.expovariate(inst.service.value) for _ in range(inst.n_requests)]
-        for _ in range(n_paths)
-    ]
+def _departures(inst: TinyInstance, servers: Sequence[int]) -> list[float]:
+    # FIFO on each server: a job starts at its arrival or at its server's
+    # last departure, whichever is later, and leaves one service time on.
+    # servers may name the first few requests only.
+    service = inst.service.value
+    free_at = [0.0] * inst.cost.n_servers
+    done = []
+    for t, k in zip(inst.arrival_times, servers):
+        free_at[k] = (free_at[k] if free_at[k] > t else t) + service
+        done.append(free_at[k])
+    return done
 
 
-def replay_assignments(
-    inst: TinyInstance, servers: Sequence[int], services: Sequence[float]
-) -> tuple[float, float]:
+def replay_assignments(inst: TinyInstance, servers: Sequence[int]) -> tuple[float, float]:
     """FIFO replay of a fixed assignment sequence; returns (mean cost,
     mean sojourn) over the trace."""
-    free_at = [0.0] * inst.cost.n_servers
     total_cost = 0.0
     total_sojourn = 0.0
-    for j, k in enumerate(servers):
-        t = inst.arrival_times[j]
-        start = free_at[k] if free_at[k] > t else t
-        done = start + services[j]
-        free_at[k] = done
-        total_cost += inst.cost.entries[inst.users[j]][k]
-        total_sojourn += done - t
+    for j, done in enumerate(_departures(inst, servers)):
+        total_cost += inst.cost.entries[inst.users[j]][servers[j]]
+        total_sojourn += done - inst.arrival_times[j]
     n = inst.n_requests
     return total_cost / n, total_sojourn / n
 
 
-def sequence_objective(
-    inst: TinyInstance,
-    servers: Sequence[int],
-    cost_weight: float,
-    sample_paths: Sequence[Sequence[float]],
-) -> float:
-    """cost_weight * mean cost + (1 - cost_weight) * mean sojourn, the
-    sojourn averaged over the given service sample paths."""
-    # Cost depends only on the assignments, so any path reports the same value.
-    mean_cost = 0.0
-    mean_sojourn = 0.0
-    for services in sample_paths:
-        mean_cost, d = replay_assignments(inst, servers, services)
-        mean_sojourn += d
-    mean_sojourn /= len(sample_paths)
+def sequence_objective(inst: TinyInstance, servers: Sequence[int], cost_weight: float) -> float:
+    """cost_weight * mean cost + (1 - cost_weight) * mean sojourn."""
+    mean_cost, mean_sojourn = replay_assignments(inst, servers)
     return cost_weight * mean_cost + (1.0 - cost_weight) * mean_sojourn
 
 
 def exhaustive_objective_search(
-    inst: TinyInstance,
-    cost_weight: float,
-    n_service_samples: int = 1,
-    rng: Random | None = None,
+    inst: TinyInstance, cost_weight: float
 ) -> tuple[tuple[int, ...], float]:
     """Enumerate every feasible assignment sequence and return the one
     minimizing the mixed objective, with its value.
 
-    Ties keep the first sequence in candidate order. With constant
-    service the single sample path makes the bound exact for any policy,
-    adaptive or not; with random service it bounds fixed sequences under
-    common random numbers.
+    Ties keep the first sequence in candidate order. Service is constant,
+    so a policy's decisions fix one sequence and the bound holds for any
+    policy, adaptive or not; with random service the best fixed sequence
+    would not bound a policy that adapts to the service times it sees.
     """
     if not 0.0 <= cost_weight <= 1.0:
         raise ValueError(f"cost_weight must lie in [0, 1], got {cost_weight}")
-    if n_service_samples < 1:
-        raise ValueError("n_service_samples must be >= 1")
-    if rng is None:
-        rng = Random(0)
-    paths = _service_samples(inst, n_service_samples, rng)
     best_seq: tuple[int, ...] | None = None
     best_val = math.inf
     for seq in product(*inst.request_candidates()):
-        val = sequence_objective(inst, seq, cost_weight, paths)
+        val = sequence_objective(inst, seq, cost_weight)
         if val < best_val:
             best_val = val
             best_seq = seq
@@ -177,42 +157,34 @@ def exhaustive_objective_search(
 
 
 def replay_strategy(
-    inst: TinyInstance,
-    strategy: StrategySpec | str,
-    cost_weight: float,
-    sample_paths: Sequence[Sequence[float]],
-    rng: Random,
+    inst: TinyInstance, strategy: StrategySpec | str, cost_weight: float, rng: Random
 ) -> float:
     """Run a mapping strategy over the instance's trace and score it with
-    the same objective and service samples as the exhaustive search.
+    the same objective as the exhaustive search.
 
-    The strategy sees the true jobs-in-system vector at each arrival, so
-    its decisions may differ between sample paths. At each arrival it is
-    bound with bind_strategy and the queue_index built from that vector,
-    so a file held by every server takes the engine's indexed path. prep
-    draws nothing, so a fresh binding decides as a warm one would.
+    The strategy sees the true jobs-in-system vector at each arrival: a
+    job counts until its departure, and one departing at the arrival's
+    time has left, as in the engine. At each arrival it is bound with
+    bind_strategy and the queue_index built from that vector, so a file
+    held by every server takes the engine's indexed path. prep draws
+    nothing, so a fresh binding decides as a warm one would.
     """
     if isinstance(strategy, str):
         strategy = StrategySpec.parse(strategy)
     table = candidate_table(inst.allocation)
     n_servers = inst.cost.n_servers
-    objective = 0.0
-    for services in sample_paths:
-        # Each server's completion times, for the queue vector at each arrival.
-        completion: list[list[float]] = [[] for _ in range(n_servers)]
-        servers = []
-        for j in range(inst.n_requests):
-            t = inst.arrival_times[j]
-            queues = [sum(1 for c in completion[k] if c > t) for k in range(n_servers)]
-            decide = bind_strategy(strategy, inst.cost.entries, table, inst.cost.n_users,
-                                   inst.allocation.n_files, rng,
-                                   queue_index=queue_index(strategy, table, queues))
-            k = decide(inst.users[j], inst.files[j], queues).server
-            free_at = completion[k][-1] if completion[k] else 0.0
-            completion[k].append((free_at if free_at > t else t) + services[j])
-            servers.append(k)
-        objective += sequence_objective(inst, servers, cost_weight, [services])
-    return objective / len(sample_paths)
+    servers: list[int] = []
+    for j in range(inst.n_requests):
+        t = inst.arrival_times[j]
+        queues = [0] * n_servers
+        for k, done in zip(servers, _departures(inst, servers)):
+            if done > t:
+                queues[k] += 1
+        decide = bind_strategy(strategy, inst.cost.entries, table, inst.cost.n_users,
+                               inst.allocation.n_files, rng,
+                               queue_index=queue_index(strategy, table, queues))
+        servers.append(decide(inst.users[j], inst.files[j], queues).server)
+    return sequence_objective(inst, servers, cost_weight)
 
 
 def random_tiny_instance(rng: Random, *, n_requests: int = 6) -> TinyInstance:

@@ -153,11 +153,6 @@ class CandidateTable(list):
         self.n_slots = len(distinct)
         self.full = slot_of.get(tuple(range(n_servers)), -1)
 
-    @classmethod
-    def of(cls, table, n_servers: int) -> "CandidateTable":
-        """table itself if it is a CandidateTable, else one built from it."""
-        return table if isinstance(table, cls) else cls(table, n_servers)
-
 
 def candidate_table(allocation: CacheAllocation) -> CandidateTable:
     """Servers holding each file, ascending, indexed by file; built on the

@@ -51,7 +51,6 @@ from typing import NamedTuple, Sequence
 
 from .draws import sample as _sample_ties, sample_plan
 from .model import STRATEGY_FAMILIES, StrategySpec
-from .popularity import CandidateTable
 
 
 class MappingDecision(NamedTuple):
@@ -110,14 +109,15 @@ def _rule(spec: StrategySpec) -> tuple[str, float, bool]:
     return kind, param, False
 
 
-def queue_index(spec: StrategySpec, candidates_by_file, queues: Sequence[int]):
+def queue_index(spec: StrategySpec, table, queues: Sequence[int]):
     """The QueueIndex over queues that spec reads, or None.
 
     One is built only when the rule reads queue state across a whole
-    candidate set and some candidate tuple holds every server. The switch
-    rule above switch probability 0 keeps the buckets; the weighted rule
-    keeps only the total. The switch rule at 0 and the probe rule read no
-    whole candidate set's queues and keep none.
+    candidate set and some candidate tuple of table, a CandidateTable,
+    holds every server. The switch rule above switch probability 0 keeps
+    the buckets; the weighted rule keeps only the total. The switch rule
+    at 0 and the probe rule read no whole candidate set's queues and keep
+    none.
     """
     rule, param, _ = _rule(spec)
     if rule == "switch" and param > 0.0:
@@ -126,7 +126,7 @@ def queue_index(spec: StrategySpec, candidates_by_file, queues: Sequence[int]):
         buckets = False
     else:
         return None
-    if CandidateTable.of(candidates_by_file, len(queues)).full < 0:
+    if table.full < 0:
         return None
     return QueueIndex(queues, buckets=buckets)
 
@@ -195,7 +195,7 @@ def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
     return tuple(sorted(ordered[:first])), tuple(ordered[first:end]), draws, pooled
 
 
-def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: int, n_files: int,
+def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: int,
                   rng, *, queue_index: QueueIndex | None = None):
     """Compile a spec into its rule's per-request closure fn(user, file, queues).
 
@@ -206,9 +206,9 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
     of each (user, memo slot) and its result is kept for the rest of the
     run. prep depends on the file only through its candidate tuple, so
     files with equal tuples share one memo slot per user (at full
-    replication, all do): the slots are those of the CandidateTable that
-    candidate_table keeps per allocation, or of one built here from any
-    other table. The switch rule at 1 never reads its memo and keeps none.
+    replication, all do): the slots are those of table, the
+    CandidateTable that candidate_table keeps per allocation. The switch
+    rule at 1 never reads its memo and keeps none.
 
     queue_index, from queue_index() and kept current by the caller, is
     read on the slot whose tuple holds every server; every other slot
@@ -218,7 +218,6 @@ def bind_strategy(spec: StrategySpec, cost_rows, candidates_by_file, n_users: in
         raise ValueError(f"unknown strategy kind {spec.kind!r}")
     rule, param, by_share = _rule(spec)
     n_servers = len(cost_rows[0])
-    table = CandidateTable.of(candidates_by_file, n_servers)
     slot = table.slot
     memo = (None if rule == "switch" and param == 1.0
             else [[None] * table.n_slots for _ in range(n_users)])

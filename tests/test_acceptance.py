@@ -461,11 +461,10 @@ def test_criterion_7_oracle_dominance(capsys):
     argmin_mismatches = 0
     for i in range(20):
         inst = random_tiny_instance(Random(7000 + i), n_requests=6)
-        paths = [[1.0] * inst.n_requests]
         for weight in (0.0, 0.5, 1.0):
             seq, best = exhaustive_objective_search(inst, weight)
             for strat in strategies:
-                achieved = replay_strategy(inst, strat, weight, paths, Random(100 + i))
+                achieved = replay_strategy(inst, strat, weight, Random(100 + i))
                 if best > achieved + 1e-9:
                     violations.append((i, weight, strat))
             if weight == 1.0:

@@ -70,7 +70,7 @@ def _single_server_instance():
 
 def test_replay_single_server_backlog_by_hand():
     inst = _single_server_instance()
-    cost, sojourn = replay_assignments(inst, (0, 0), (1.0, 1.0))
+    cost, sojourn = replay_assignments(inst, (0, 0))
     assert cost == 2.0
     # first job runs [1, 2]; second arrives at 1.5, starts at 2, done at 3
     assert sojourn == pytest.approx((1.0 + 1.5) / 2)
@@ -89,9 +89,24 @@ def _two_server_instance():
     )
 
 
+def test_replayed_strategy_sees_a_departure_at_an_arrival_as_gone():
+    # The first job leaves server 0 at 2.0, the second arrival's time. As in
+    # the engine, it has left: wmc:0.4 sees empty queues and takes the free
+    # server 0. Counted as still there, it would take server 1 (cost 10).
+    inst = TinyInstance(
+        cost=CostMatrix.from_rows([[0.0, 10.0]]),
+        allocation=CacheAllocation.from_sets([{0}, {0}], n_files=1),
+        arrival_times=(1.0, 2.0),
+        users=(0, 0),
+        files=(0, 0),
+        service=ServiceSpec.constant(1.0),
+    )
+    assert sequence_objective(inst, (0, 0), 0.5) == 0.5
+    assert replay_strategy(inst, "wmc:0.4", 0.5, Random(0)) == 0.5
+
+
 def test_exhaustive_search_hand_instance_across_weights():
     inst = _two_server_instance()
-    paths = [(1.0, 1.0)]
 
     seq, val = exhaustive_objective_search(inst, 1.0)
     assert seq == (0, 0)
@@ -105,8 +120,8 @@ def test_exhaustive_search_hand_instance_across_weights():
     assert seq == (0, 0)
     assert val == pytest.approx(0.5 * 1.0 + 0.5 * 1.45)
 
-    assert sequence_objective(inst, (0, 0), 0.5, paths) == pytest.approx(1.225)
-    assert sequence_objective(inst, (1, 1), 0.5, paths) == pytest.approx(3.225)
+    assert sequence_objective(inst, (0, 0), 0.5) == pytest.approx(1.225)
+    assert sequence_objective(inst, (1, 1), 0.5) == pytest.approx(3.225)
 
 
 def test_pure_cost_optimum_is_per_request_cost_argmin():
@@ -126,23 +141,21 @@ def test_oracle_never_beaten_by_any_strategy_under_constant_service():
     strategies = ("mincost", "minqueue", "pss:0.5", "wmc:0.5", "mcs:2")
     for seed in range(10):
         inst = random_tiny_instance(Random(seed))
-        paths = [[1.0] * inst.n_requests]
         for weight in (0.0, 0.5, 1.0):
             _, best = exhaustive_objective_search(inst, weight)
             for strat in strategies:
-                achieved = replay_strategy(inst, strat, weight, paths, Random(seed + 1))
+                achieved = replay_strategy(inst, strat, weight, Random(seed + 1))
                 assert best <= achieved + 1e-9, (seed, weight, strat)
 
 
 def test_replayed_switch_extremes_match_pure_strategies():
     inst = random_tiny_instance(Random(3))
-    paths = [[1.0] * inst.n_requests]
     for weight in (0.0, 1.0):
-        a = replay_strategy(inst, "pss:0", weight, paths, Random(7))
-        b = replay_strategy(inst, "mincost", weight, paths, Random(7))
+        a = replay_strategy(inst, "pss:0", weight, Random(7))
+        b = replay_strategy(inst, "mincost", weight, Random(7))
         assert a == b
-        a = replay_strategy(inst, "pss:1", weight, paths, Random(7))
-        b = replay_strategy(inst, "minqueue", weight, paths, Random(7))
+        a = replay_strategy(inst, "pss:1", weight, Random(7))
+        b = replay_strategy(inst, "minqueue", weight, Random(7))
         assert a == b
 
 
@@ -161,6 +174,8 @@ def test_instance_validation_rules():
         TinyInstance(cost, alloc, (1.0,), (1,), (0,), svc)  # unknown user
     with pytest.raises(ConfigError):
         TinyInstance(cost, alloc, (1.0,), (0,), (1,), svc)  # unknown file
+    with pytest.raises(ConfigError):
+        TinyInstance(cost, alloc, (1.0,), (0,), (0,), ServiceSpec.exponential(1.0))  # exp: service
 
 
 def test_enumeration_bound_is_enforced():
@@ -180,8 +195,6 @@ def test_search_input_validation():
     inst = _two_server_instance()
     with pytest.raises(ValueError):
         exhaustive_objective_search(inst, 1.5)
-    with pytest.raises(ValueError):
-        exhaustive_objective_search(inst, 0.5, n_service_samples=0)
 
 
 def test_random_instances_are_well_formed():

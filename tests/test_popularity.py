@@ -256,7 +256,6 @@ def test_candidate_table_slots_number_distinct_tuples_in_first_appearance_order(
     table = CandidateTable([[1, 2], (0,), (1, 2), [0, 1, 2]], 3)
     assert table == [(1, 2), (0,), (1, 2), (0, 1, 2)]
     assert table.slot == [0, 1, 0, 2] and table.n_slots == 3 and table.full == 2
-    assert CandidateTable.of(table, 3) is table
     assert CandidateTable([(2, 1, 0)], 3).full == -1  # not ascending: scanned, not indexed
     alloc = proportional_placement(zipf_profile(70, 0.0), 100, 8, Random(3))
     built = candidate_table(alloc)

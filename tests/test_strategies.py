@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cdnsim.engine import run_simulation
 from cdnsim.model import StrategySpec, default_config
-from cdnsim.popularity import candidate_table, proportional_placement, zipf_profile
+from cdnsim.popularity import CandidateTable, candidate_table, proportional_placement, zipf_profile
 from cdnsim.strategies import MappingDecision, _sample_ties, bind_strategy, mcs_prep, queue_index
 from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
 
@@ -17,7 +17,8 @@ from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
 def _bind(kind, param, candidates, costs, rng):
     # bind_strategy on a table of one user and one file with these
     # candidates; call the result as decide(0, 0, queues).
-    return bind_strategy(StrategySpec(kind, param), (costs,), (tuple(candidates),), 1, 1, rng)
+    return bind_strategy(StrategySpec(kind, param), (costs,),
+                         CandidateTable([candidates], len(costs)), 1, 1, rng)
 
 
 def _decide(kind, param, candidates, costs, queues, rng):
@@ -482,7 +483,7 @@ def test_wmc_zero_reads_the_bucket_index_as_minqueue_does(n_servers, n_files, qu
     # from its lowest bucket, draw for draw with minqueue and with the
     # reference scoring.
     costs = tuple(float(k % 5) for k in range(n_servers))
-    cands = (tuple(range(n_servers)),) * n_files
+    cands = CandidateTable([range(n_servers)] * n_files, n_servers)
     wmc, minqueue = StrategySpec("wmc", 0.0), StrategySpec("minqueue")
     rngs = [Random(seed) for _ in range(3)]
     for state in queues:
@@ -530,7 +531,7 @@ def test_wmc_one_ties_servers_whose_distinct_costs_round_to_one_share():
         assert decision.queries_used == 3
         picks[decision.server] += 1
     assert set(picks) == {0, 1} and abs(picks[0] / 2000 - 0.5) < 0.05
-    assert queue_index(StrategySpec("wmc", 1.0), (tuple(range(3)),), [0, 0, 0]) is None
+    assert queue_index(StrategySpec("wmc", 1.0), CandidateTable([range(3)], 3), [0, 0, 0]) is None
 
 
 def test_bind_strategy_wmc_at_full_replication_matches_reference_scoring():
@@ -653,6 +654,7 @@ def test_bind_strategy_cold_and_warm_memo_agree_for_every_kind(table, zeta, alph
     # binding for the whole sequence reuses it (warm memo). Both must make
     # the same decisions from the same draws, for every family.
     rows, cands, requests = table
+    cands = CandidateTable(cands, len(rows[0]))
     n_users, n_files = len(rows), len(cands)
     for spec in (StrategySpec("mincost"), StrategySpec("minqueue"), StrategySpec("pss", zeta),
                  StrategySpec("wmc", alpha), StrategySpec("mcs", delta)):
@@ -669,7 +671,7 @@ def test_bind_strategy_cold_and_warm_memo_agree_for_every_kind(table, zeta, alph
 def test_bind_strategy_matches_plain_calls_for_every_kind():
     cost_rows = ((4.0, 1.0, 1.0), (2.0, 2.0, 9.0))
     # Files 0 and 2 have equal candidate tuples and share a memo slot.
-    candidates_by_file = ((0, 1, 2), (0, 2), (0, 1, 2))
+    candidates_by_file = CandidateTable(((0, 1, 2), (0, 2), (0, 1, 2)), 3)
     queues = (1, 0, 1)
 
     cases = [
@@ -698,8 +700,8 @@ def test_bindings_over_different_server_counts_keep_their_own_decisions():
     # turn: each must return its own servers and query counts, so no row of
     # prebuilt decisions may be shared between bindings.
     tables = (
-        (((4.0, 1.0, 1.0),), ((0, 1, 2),)),
-        ((tuple(float(k % 7) for k in range(100)),), (tuple(range(100)),)),
+        (((4.0, 1.0, 1.0),), CandidateTable([(0, 1, 2)], 3)),
+        ((tuple(float(k % 7) for k in range(100)),), CandidateTable([range(100)], 100)),
     )
     references = {
         "mincost": lambda c, costs, q, rng: _min_cost_reference(c, costs, rng),
@@ -747,4 +749,4 @@ def test_bind_strategy_rejects_unknown_kind():
     spec = StrategySpec("pss", 0.5)
     object.__setattr__(spec, "kind", "bogus")
     with pytest.raises(ValueError):
-        bind_strategy(spec, ((0.0,),), ((0,),), 1, 1, Random(0))
+        bind_strategy(spec, ((0.0,),), CandidateTable([(0,)], 1), 1, 1, Random(0))
