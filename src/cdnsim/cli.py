@@ -211,12 +211,9 @@ def _parse_sweep_values(text: str, family: str) -> tuple[float, ...]:
             )
         body = rest
     try:
-        values = tuple(float(v) for v in body.split(","))
+        return tuple(float(v) for v in body.split(","))
     except ValueError:
         raise ConfigError(f"sweep list {text!r} has a non-numeric value") from None
-    if not values:
-        raise ConfigError("sweep list is empty")
-    return values
 
 
 def _parse_cache_sizes(text: str) -> tuple[int, ...]:

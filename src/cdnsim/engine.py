@@ -18,14 +18,14 @@ A run is observed through one hook, called at every arrival with the
 MappingDecision the bound strategy returned, before the job joins its
 server. The trace file is written by such a hook.
 
-For the specs that read a whole candidate set's queues (minqueue, pss
-with a switch probability above 0, wmc below cost weight 1), when some
-file's candidates are every server, the run also keeps a
-strategies.QueueIndex over the jobs-in-system vector: the jobs total for
-wmc strictly between cost weights 0 and 1; for the others, the servers
-bucketed by queue length in sorted lists, with the lowest length. Each
-arrival and departure updates it, and decisions on those files read it
-instead of scanning every queue.
+When some file's candidates are every server, decisions on that file
+read whole-set queue state the run keeps instead of scanning every queue.
+wmc strictly between cost weights 0 and 1 reads the jobs total as the
+departure heap's length: once the departures at or before t have been
+popped, the heap holds one entry per job in system. The switch rule's
+queue branch (minqueue, wmc:0, pss above switch probability 0) reads a
+strategies.QueueIndex: the servers bucketed by queue length in sorted
+lists, with the lowest length, which each arrival and departure updates.
 """
 
 from __future__ import annotations
@@ -163,12 +163,20 @@ def run_simulation(
     index = queue_index(strategy, table, [0] * n_servers)
     buckets = None if index is None else index.buckets
 
+    # Per-server state: free_at[k] is when server k's last job departs;
+    # njobs[k] counts server k's jobs on the departure heap and is the queue
+    # vector strategies see. Heap entries: (departure, server). A job's
+    # sojourn is summed when it arrives, so a departure only leaves its queue.
+    free_at = [0.0] * n_servers
+    njobs = [0] * n_servers
+    dep_heap: list = []
+
     arr_rng = substream(run_seed, "arrivals")
     file_rng = substream(run_seed, "files")
     svc_rng = substream(run_seed, "service")
     decide = bind_strategy(
         strategy, rows, table, cfg.n_users, cfg.n_files, substream(run_seed, "strategy"),
-        queue_index=index,
+        queue_index=index, jobs_in_system=dep_heap,
     )
     cands_by_file = list(table)  # the hook's; an exact list indexes faster than a subclass
 
@@ -189,13 +197,6 @@ def run_simulation(
     # RunResult.wait_growth.
     late_from = warmup + n_counted // 2
 
-    # Per-server state: free_at[k] is when server k's last job departs;
-    # njobs[k] counts server k's jobs on the departure heap and is the queue
-    # vector strategies see. Heap entries: (departure, server). A job's
-    # sojourn is summed when it arrives, so a departure only leaves its queue.
-    free_at = [0.0] * n_servers
-    njobs = [0] * n_servers
-    dep_heap: list = []
     # Departures of the warmup jobs still in system at the first counted arrival.
     carried = []
 
@@ -228,20 +229,17 @@ def run_simulation(
         while dep_heap and dep_heap[0][0] <= t:
             k = pop(dep_heap)[1]
             njobs[k] -= 1
-            if index is not None:
-                if buckets is None:
-                    index.total -= 1
+            if buckets is not None:
+                # k moves from bucket q + 1 to bucket q.
+                q = njobs[k]
+                b = buckets[q + 1]
+                if len(b) == 1:
+                    del buckets[q + 1]
                 else:
-                    # k moves from bucket q + 1 to bucket q.
-                    q = njobs[k]
-                    b = buckets[q + 1]
-                    if len(b) == 1:
-                        del buckets[q + 1]
-                    else:
-                        del b[bisect_left(b, k)]
-                    insort(buckets[q], k)
-                    if q < index.lowest:
-                        index.lowest = q
+                    del b[bisect_left(b, k)]
+                insort(buckets[q], k)
+                if q < index.lowest:
+                    index.lowest = q
         fidx = bis(cum_probs, file_u())
         svc = -log(1.0 - svc_u()) / svc_param if service_is_exp else svc_param
         decision = decide(user, fidx, njobs)
@@ -268,20 +266,17 @@ def run_simulation(
                 t_meas_end = done
         push(dep_heap, (done, k))
         njobs[k] += 1
-        if index is not None:
-            if buckets is None:
-                index.total += 1
+        if buckets is not None:
+            # k moves from bucket q - 1 to bucket q.
+            q = njobs[k]
+            b = buckets[q - 1]
+            if len(b) == 1:
+                del buckets[q - 1]
+                if index.lowest == q - 1:
+                    index.lowest = q
             else:
-                # k moves from bucket q - 1 to bucket q.
-                q = njobs[k]
-                b = buckets[q - 1]
-                if len(b) == 1:
-                    del buckets[q - 1]
-                    if index.lowest == q - 1:
-                        index.lowest = q
-                else:
-                    del b[bisect_left(b, k)]
-                insort(buckets[q], k)
+                del b[bisect_left(b, k)]
+            insort(buckets[q], k)
 
     # Jobs in system integrated over the window: every counted sojourn lies
     # inside it, and a carried warmup job counts until it departs or the

@@ -7,7 +7,7 @@ strategy from below on a fixed trace. Tiny instances have deterministic
 (constant) service: only then does the best fixed sequence bound an
 adaptive policy, which sees the queues and may choose differently on
 each service path. Strategies are replayed through
-strategies.bind_strategy with the queue index the engine would keep, so
+strategies.bind_strategy with the queue state the engine would keep, so
 they take the decision path the engine runs; nothing here imports the
 engine itself.
 """
@@ -165,9 +165,10 @@ def replay_strategy(
     The strategy sees the true jobs-in-system vector at each arrival: a
     job counts until its departure, and one departing at the arrival's
     time has left, as in the engine. At each arrival it is bound with
-    bind_strategy and the queue_index built from that vector, so a file
-    held by every server takes the engine's indexed path. prep draws
-    nothing, so a fresh binding decides as a warm one would.
+    bind_strategy, the queue_index built from that vector and, as the
+    engine's departure heap, the list of the servers of the jobs in
+    system, so a file held by every server takes the engine's path. prep
+    draws nothing, so a fresh binding decides as a warm one would.
     """
     if isinstance(strategy, str):
         strategy = StrategySpec.parse(strategy)
@@ -176,13 +177,14 @@ def replay_strategy(
     servers: list[int] = []
     for j in range(inst.n_requests):
         t = inst.arrival_times[j]
+        in_system = [k for k, done in zip(servers, _departures(inst, servers)) if done > t]
         queues = [0] * n_servers
-        for k, done in zip(servers, _departures(inst, servers)):
-            if done > t:
-                queues[k] += 1
+        for k in in_system:
+            queues[k] += 1
         decide = bind_strategy(strategy, inst.cost.entries, table, inst.cost.n_users,
                                inst.allocation.n_files, rng,
-                               queue_index=queue_index(strategy, table, queues))
+                               queue_index=queue_index(strategy, table, queues),
+                               jobs_in_system=in_system)
         servers.append(decide(inst.users[j], inst.files[j], queues).server)
     return sequence_objective(inst, servers, cost_weight)
 

@@ -32,13 +32,14 @@ those probes from the stream's getrandbits exactly as
 Random.sample(boundary, need) would (draws.sample), so the picks and
 every later draw are those of sample.
 
-Queue index: the switch rule's queue branch and the weighted rule read
-queue state across the whole candidate set. When a candidate tuple
-holds every server, they read a QueueIndex instead of scanning it: the
-sorted list of servers at the lowest queue length, or the jobs total.
-queue_index decides when one is kept; the engine updates it at every
-event, and the bound closure reads it on that tuple only. Every other
-tuple, and every binding made without an index, scans the queue vector.
+Whole-set queue state: the switch rule's queue branch and the weighted
+rule read queue state across the whole candidate set. When a candidate
+tuple holds every server, they read it from their caller instead of
+scanning: the switch rule the sorted list of servers at the lowest queue
+length, kept in a QueueIndex that queue_index builds and the engine
+updates at every event; the weighted rule the jobs total, as the length
+of the caller's jobs-in-system collection. Every other tuple, and every
+binding made without either, scans the queue vector.
 """
 
 from __future__ import annotations
@@ -59,37 +60,30 @@ class MappingDecision(NamedTuple):
 
 
 class QueueIndex:
-    """Jobs in system over all servers, in the parts a family reads.
+    """The servers bucketed by jobs in system, for the switch rule.
 
-    With buckets, maps each queue length to the ascending list of servers
-    holding that many jobs (a defaultdict(list); an emptied list is
-    deleted), and lowest is the smallest such length. Without, total is the
-    sum of the queue vector. The constructor builds it from scratch;
-    run_simulation keeps it current in place at every arrival and
+    buckets maps each queue length to the ascending list of servers holding
+    that many jobs (a defaultdict(list); an emptied list is deleted), and
+    lowest is the smallest such length. The constructor builds it from
+    scratch; run_simulation keeps it current in place at every arrival and
     departure, moving a server between lists with bisect and insort.
     """
 
-    __slots__ = ("total", "buckets", "lowest")
+    __slots__ = ("buckets", "lowest")
 
-    def __init__(self, queues: Sequence[int], *, buckets: bool) -> None:
-        self.total = None
-        self.buckets = None
-        self.lowest = None
-        if buckets:
-            self.buckets = defaultdict(list)
-            for k, q in enumerate(queues):
-                self.buckets[q].append(k)
-            self.lowest = min(self.buckets)
-        else:
-            self.total = sum(queues)
+    def __init__(self, queues: Sequence[int]) -> None:
+        self.buckets = defaultdict(list)
+        for k, q in enumerate(queues):
+            self.buckets[q].append(k)
+        self.lowest = min(self.buckets)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QueueIndex):
             return NotImplemented
-        return (self.total, self.buckets, self.lowest) == (other.total, other.buckets, other.lowest)
+        return (self.buckets, self.lowest) == (other.buckets, other.lowest)
 
     def __repr__(self) -> str:
-        return f"QueueIndex(total={self.total}, buckets={self.buckets}, lowest={self.lowest})"
+        return f"QueueIndex(buckets={self.buckets}, lowest={self.lowest})"
 
 
 def _rule(spec: StrategySpec) -> tuple[str, float, bool]:
@@ -112,23 +106,16 @@ def _rule(spec: StrategySpec) -> tuple[str, float, bool]:
 def queue_index(spec: StrategySpec, table, queues: Sequence[int]):
     """The QueueIndex over queues that spec reads, or None.
 
-    One is built only when the rule reads queue state across a whole
-    candidate set and some candidate tuple of table, a CandidateTable,
-    holds every server. The switch rule above switch probability 0 keeps
-    the buckets; the weighted rule keeps only the total. The switch rule
-    at 0 and the probe rule read no whole candidate set's queues and keep
-    none.
+    One is built only for the switch rule above switch probability 0, and
+    only when some candidate tuple of table, a CandidateTable, holds every
+    server. Every other spec gets None: the weighted rule reads its jobs
+    total from bind_strategy's jobs_in_system, and the switch rule at 0
+    and the probe rule read no whole candidate set's queues.
     """
     rule, param, _ = _rule(spec)
-    if rule == "switch" and param > 0.0:
-        buckets = True
-    elif rule == "wmc":
-        buckets = False
-    else:
+    if rule != "switch" or param == 0.0 or table.full < 0:
         return None
-    if table.full < 0:
-        return None
-    return QueueIndex(queues, buckets=buckets)
+    return QueueIndex(queues)
 
 
 def _argmin_set(candidates: Sequence[int], values) -> list[int]:
@@ -196,7 +183,7 @@ def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
 
 
 def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: int,
-                  rng, *, queue_index: QueueIndex | None = None):
+                  rng, *, queue_index: QueueIndex | None = None, jobs_in_system=None):
     """Compile a spec into its rule's per-request closure fn(user, file, queues).
 
     The closure is one of three: switch (mincost, minqueue, pss and wmc's
@@ -210,9 +197,12 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
     CandidateTable that candidate_table keeps per allocation. The switch
     rule at 1 never reads its memo and keeps none.
 
-    queue_index, from queue_index() and kept current by the caller, is
-    read on the slot whose tuple holds every server; every other slot
-    scans the queues it is called with.
+    On the slot whose tuple holds every server, the switch rule reads
+    queue_index, from queue_index() and kept current by the caller, and
+    the weighted rule reads len(jobs_in_system), a sized collection the
+    caller keeps with one entry per job in system. Every other slot, and
+    every slot of a binding not given its rule's input, scans the queues
+    the closure is called with.
     """
     if spec.kind not in STRATEGY_FAMILIES:
         raise ValueError(f"unknown strategy kind {spec.kind!r}")
@@ -221,7 +211,8 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
     slot = table.slot
     memo = (None if rule == "switch" and param == 1.0
             else [[None] * table.n_slots for _ in range(n_users)])
-    full = -1 if queue_index is None else table.full
+    kept = jobs_in_system if rule == "wmc" else queue_index  # the full slot's state, if kept
+    full = -1 if kept is None else table.full
     candidates_by_file = list(table)  # an exact list indexes faster than a subclass
     random = rng.random
     rows: dict[int, list[MappingDecision]] = {}  # query count -> each server's decision
@@ -307,7 +298,7 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
                 static = memo[user][s] = wmc_prep(candidates, cost_rows[user], param)
             shares, order = static
             if s == full:
-                queue_total = queue_index.total
+                queue_total = len(jobs_in_system)
             else:
                 queue_total = 0
                 for k in candidates:

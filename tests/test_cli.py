@@ -114,6 +114,8 @@ def test_sweep_value_parsing():
         _parse_sweep_values("alpha:0.5", "pss")
     with pytest.raises(ConfigError):
         _parse_sweep_values("0.5,oops", "pss")
+    with pytest.raises(ConfigError, match="non-numeric"):
+        _parse_sweep_values("zeta:", "pss")
     assert _parse_cache_sizes("8,2,70") == (8, 2, 70)
     with pytest.raises(ConfigError):
         _parse_cache_sizes("2,x")

@@ -26,7 +26,7 @@ from cdnsim.model import (
 )
 from cdnsim.oracle import mm1_mean_sojourn
 from cdnsim.popularity import CandidateTable, candidate_table, proportional_placement, zipf_profile
-from cdnsim.strategies import QueueIndex, queue_index
+from cdnsim.strategies import QueueIndex, bind_strategy, queue_index
 from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
 
 
@@ -502,16 +502,23 @@ def test_shadow_fifo_agrees_with_engine_for_every_family():
 
 
 class IndexSpy:
-    """Stands in for engine.queue_index: builds the index as the engine
-    would and keeps it, so a decision_hook can read the engine's copy."""
+    """Stands in for engine.queue_index and, through bind, for
+    engine.bind_strategy: builds the index and binds as the engine would,
+    and keeps the index and the jobs_in_system collection the engine
+    passes, so a decision_hook can read the engine's copies."""
 
     def __init__(self):
         self.built = []
+        self.jobs = []
 
     def __call__(self, spec, candidates_by_file, queues):
         index = queue_index(spec, candidates_by_file, queues)
         self.built.append(index)
         return index
+
+    def bind(self, *args, jobs_in_system=None, **kwargs):
+        self.jobs.append(jobs_in_system)
+        return bind_strategy(*args, jobs_in_system=jobs_in_system, **kwargs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -524,35 +531,43 @@ class IndexSpy:
     load=st.floats(0.3, 1.5),
     seed=st.integers(0, 2**32),
 )
-def test_engine_queue_index_matches_a_rebuild_at_every_arrival(
+def test_engine_queue_state_matches_a_rebuild_at_every_arrival(
         strategy, service, n_servers, n_users, n_files, load, seed):
-    # At full replication the engine keeps a queue index; at every arrival
-    # it must equal the index built from scratch over the queue vector the
-    # strategy sees. Loads above 1 grow queues, so buckets come and go.
+    # At full replication the engine keeps whole-set queue state; at every
+    # arrival it must match the queue vector the strategy sees. The switch
+    # rule's index must equal the index built from scratch, and wmc's jobs
+    # collection must hold one entry per job in system. Loads above 1 grow
+    # queues, so buckets come and go.
     cfg = default_config(n_servers=n_servers, n_users=n_users, n_files=n_files,
                          cache_size=n_files, horizon_events=400,
                          arrival_rates=uniform_rates(n_users, load * n_servers / n_users),
                          service=ServiceSpec.parse(service))
     spy = IndexSpy()
-    buckets = strategy != "wmc:0.5"  # the rest take the switch rule, which keeps buckets
-    seen = []
+    switch = strategy != "wmc:0.5"  # the rest take the switch rule, which keeps an index
+    arrivals = []
 
     def hook(t, user, fidx, cands, queues, decision):
-        assert spy.built[0] == QueueIndex(queues, buckets=buckets)
-        seen.append(spy.built[0].lowest if buckets else spy.built[0].total)
+        if switch:
+            assert spy.built[0] == QueueIndex(queues)
+        else:
+            assert len(spy.jobs[0]) == sum(queues)
+        arrivals.append(t)
 
-    with mock.patch.object(engine, "queue_index", spy):
+    with mock.patch.object(engine, "queue_index", spy), \
+            mock.patch.object(engine, "bind_strategy", spy.bind):
         run_simulation(cfg, strategy, seed, decision_hook=hook)
-    assert len(spy.built) == 1 and spy.built[0] is not None
-    assert len(seen) == 400
+    assert len(spy.built) == 1 and (spy.built[0] is not None) == switch
+    assert len(spy.jobs) == 1 and spy.jobs[0] is not None
+    assert len(arrivals) == 400
 
 
 def test_engine_keeps_no_queue_index_where_no_decision_reads_one():
     # mincost, mcs, pss:0 and wmc:1 never read a whole candidate set's
-    # queues, and without a tuple of every server no decision can use the index.
+    # queues, wmc:0.5 reads only their total, and without a tuple of every
+    # server no decision can use the index.
     full = default_config(cache_size=70, horizon_events=200)
     partial = default_config(cache_size=8, horizon_events=200)
-    cases = [(full, s) for s in ("mincost", "mcs:2", "mcs:200", "pss:0", "wmc:1")]
+    cases = [(full, s) for s in ("mincost", "mcs:2", "mcs:200", "pss:0", "wmc:1", "wmc:0.5")]
     cases += [(partial, s) for s in ("minqueue", "pss:0.5", "wmc:0.5")]
     for cfg, strategy in cases:
         spy = IndexSpy()

@@ -422,8 +422,9 @@ class _CountingQueues(list):
 def test_wmc_scan_stops_at_first_share_above_best():
     # Costs 1..100 and one job everywhere: every queue term is 0.5 / 100,
     # the best score is share(1) + 0.005, and share(c) = 0.5 c / 5050 first
-    # exceeds it at c = 52. The queue total reads all 100 queues; the scan
-    # reads the 51 it scores.
+    # exceeds it at c = 52. Without a jobs collection the queue total reads
+    # all 100 queues; the scan reads the 51 it scores. With one, the total
+    # is its length and only the scan reads queues.
     candidates = tuple(range(100))
     costs = tuple(float(c) for c in range(1, 101))
     queues = _CountingQueues([1] * 100)
@@ -433,6 +434,14 @@ def test_wmc_scan_stops_at_first_share_above_best():
     assert decision == _wmc_reference(candidates, costs, [1] * 100, 0.5, ref_rng)
     assert decision.server == 0 and decision.queries_used == 100
     assert rng.getstate() == ref_rng.getstate()
+
+    queues = _CountingQueues([1] * 100)
+    jobs_rng = Random(4)
+    decide = bind_strategy(StrategySpec("wmc", 0.5), (costs,), CandidateTable([candidates], 100),
+                           1, 1, jobs_rng, jobs_in_system=range(100))
+    assert decide(0, 0, queues) == decision
+    assert queues.reads == 51
+    assert jobs_rng.getstate() == rng.getstate()
 
 
 # Adds 7 and its upper neighbour: over a total of 23 (with a 9) both give
@@ -565,9 +574,10 @@ def test_bind_strategy_wmc_at_full_replication_matches_reference_scoring():
                 cands[fidx], rows[user], queues, weight, ref_rng)
         assert bound_rng.getstate() == ref_rng.getstate()
 
-    # The same states through the engine's queue index, rebuilt from each
-    # state: minqueue and the queue branch of pss take the lowest bucket,
-    # wmc the jobs total, and none of them scans.
+    # The same states through the engine's queue state, rebuilt from each
+    # state: minqueue and the queue branch of pss take the index's lowest
+    # bucket, and wmc keeps no index and reads the jobs total as the length
+    # of its jobs-in-system collection.
     references = {
         "minqueue": lambda c, costs, q, rng: _min_queue_reference(c, q, rng),
         "pss:0.5": lambda c, costs, q, rng: _pss_reference(c, costs, q, 0.5, rng),
@@ -578,9 +588,9 @@ def test_bind_strategy_wmc_at_full_replication_matches_reference_scoring():
         bound_rng, ref_rng = Random(name), Random(name)
         for user, fidx, queues in states:
             index = queue_index(spec, cands, queues)
-            assert index is not None
+            assert (index is None) == (spec.kind == "wmc")
             decide = bind_strategy(spec, rows, cands, cfg.n_users, cfg.n_files, bound_rng,
-                                   queue_index=index)
+                                   queue_index=index, jobs_in_system=range(sum(queues)))
             assert decide(user, fidx, queues) == reference(cands[fidx], rows[user], queues,
                                                            ref_rng)
         assert bound_rng.getstate() == ref_rng.getstate()
@@ -723,7 +733,8 @@ def test_bindings_over_different_server_counts_keep_their_own_decisions():
 
 def test_decision_hook_receives_mapping_decisions_with_documented_queries():
     # At M=8 every decision scans its candidates; at M=70 every file is on
-    # every server, so minqueue, pss and wmc read the engine's queue index.
+    # every server, so minqueue and pss read the engine's queue index and
+    # wmc the length of its departure heap.
     # Either way the hook receives MappingDecision objects whose
     # queries_used is the family's documented count.
     documented = {
