@@ -197,6 +197,13 @@ def test_main_errors_are_reported_not_raised(tmp_path, capsys):
     assert err.count("simulate: error:") == 7
 
 
+def test_main_rejects_a_sweep_name_on_a_parameterless_family(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(["--strategy", "mincost", "--sweep", "zeta:0.5", "--out", str(out)]) == 2
+    assert "mincost takes no sweep parameter" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_rejects_non_finite_mcs_counts(tmp_path, capsys):
     out = tmp_path / "o.csv"
     assert main(["--strategy", "mcs:inf", "--out", str(out)]) == 2

@@ -210,6 +210,8 @@ def test_cache_allocation_validation():
     # The first server holding an unknown file is named, with that file.
     with pytest.raises(ConfigError, match=r"^server 2 caches unknown file -1$"):
         CacheAllocation.from_sets([{0, 1}, {1, 2}, {-1, 2}, {0, 5}], n_files=3)
+    with pytest.raises(ConfigError, match="at least one server"):
+        CacheAllocation((), 1)
 
 
 CONFIG_TEXT = """
@@ -260,6 +262,16 @@ def test_parse_config_rejects_bad_lines():
         parse_config("arrival_rate = 0.5\narrival_rates = 0.5,0.5")
     with pytest.raises(ConfigError):
         parse_config("n_users = 3\narrival_rates = 0.5,0.5")  # wrong length
+    with pytest.raises(ConfigError, match="warmup_events must be >= 0"):
+        parse_config("warmup_events = -1")
+
+
+def test_parse_config_names_the_unreadable_key_and_text():
+    for key in ("zipf_beta", "arrival_rate"):
+        with pytest.raises(ConfigError, match=rf"'{key}'.*'x'"):
+            parse_config(f"{key} = x")
+    with pytest.raises(ConfigError, match="'arrival_rates'"):
+        parse_config("n_users = 2\narrival_rates = 0.9,x")
 
 
 def test_config_objects_are_immutable():

@@ -176,6 +176,8 @@ def test_instance_validation_rules():
         TinyInstance(cost, alloc, (1.0,), (0,), (1,), svc)  # unknown file
     with pytest.raises(ConfigError):
         TinyInstance(cost, alloc, (1.0,), (0,), (0,), ServiceSpec.exponential(1.0))  # exp: service
+    with pytest.raises(ConfigError, match="equal length"):
+        TinyInstance(cost, alloc, (1.0, 2.0), (0,), (0, 0), svc)
 
 
 def test_enumeration_bound_is_enforced():

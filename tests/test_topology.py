@@ -51,6 +51,12 @@ def test_random_layout_is_deterministic_per_seed():
     assert len(a.servers) == 7
 
 
+def test_random_layout_rejects_an_empty_grid():
+    # Without the check, drawing below 0 would never return.
+    with pytest.raises(ConfigError, match="lattice side must be >= 1"):
+        random_lattice_layout(2, 2, 0, Random(0))
+
+
 def test_random_layout_coordinates_are_uniform():
     # Pool all coordinates from many layouts; each of the side^2 cells
     # should be hit with frequency 1 / side^2.
