@@ -3,7 +3,10 @@
 The `simulate` command runs a strategy (or a parameter sweep of one)
 over a grid of cache sizes, replicates each point with deterministic
 per-run seeds, and writes one CSV row per point. Reruns with identical
-flags produce byte-identical CSV files regardless of --workers.
+flags produce byte-identical CSV files regardless of --workers, which
+starts at most one process per run. Numbers in flags are read by
+model.read_number and sweep names come from model.STRATEGY_PARAMS, so
+the CLI shares the config file's error messages and family table.
 """
 
 from __future__ import annotations
@@ -17,20 +20,19 @@ from random import Random
 from .engine import mix_seed, run_inputs, run_simulation, substream
 from .metrics import AggregateResult, aggregate_runs
 from .model import (
+    STRATEGY_PARAMS,
     ConfigError,
     SimConfig,
     StrategySpec,
     default_config,
     load_config,
+    read_number,
+    strategy_param,
     validate_config,
 )
 from .topology import load_cost_matrix
 
 CSV_HEADER = "strategy,param,M,beta,n_runs,events,avg_cost,ci95_cost,avg_wait,ci95_wait,avg_queries"
-
-# Human name of each family's sweep parameter, accepted as a `name:` prefix
-# on --sweep values.
-SWEEP_PARAM_NAMES = {"pss": "zeta", "wmc": "alpha", "mcs": "delta"}
 
 
 @dataclass(frozen=True)
@@ -44,15 +46,13 @@ class SweepSpec:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.strategy in ("mincost", "minqueue"):
+        takes = strategy_param(self.strategy)
+        if takes is None:
             if tuple(self.params) not in ((), (None,)):
                 raise ConfigError(f"{self.strategy} takes no sweep parameter")
             object.__setattr__(self, "params", (None,))
         elif not self.params:
-            raise ConfigError(
-                f"sweep over {self.strategy} needs at least one "
-                f"{SWEEP_PARAM_NAMES.get(self.strategy, 'parameter')} value"
-            )
+            raise ConfigError(f"sweep over {self.strategy} needs at least one {takes[0]} value")
         if not self.cache_sizes:
             raise ConfigError("sweep needs at least one cache size")
         if self.n_runs < 1:
@@ -144,6 +144,7 @@ def run_sweep(
     placement per cache size, both derived from the base seed.
     """
     jobs = _sweep_runs(cfg, sweep, cost_matrix, fixed_topology)
+    workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_run, jobs, chunksize=1))
@@ -201,26 +202,16 @@ def _parse_sweep_values(text: str, family: str) -> tuple[float, ...]:
     body = text.strip()
     name, sep, rest = body.partition(":")
     if sep and not name.replace(".", "").replace("-", "").isdigit():
-        expected = SWEEP_PARAM_NAMES.get(family)
-        if expected is None:
+        takes = strategy_param(family)
+        if takes is None:
             raise ConfigError(f"{family} takes no sweep parameter")
-        if name.strip().lower() != expected:
+        if name.strip().lower() != takes[0]:
             raise ConfigError(
                 f"sweep parameter {name.strip()!r} does not belong to {family} "
-                f"(expected {expected})"
+                f"(expected {takes[0]})"
             )
         body = rest
-    try:
-        return tuple(float(v) for v in body.split(","))
-    except ValueError:
-        raise ConfigError(f"sweep list {text!r} has a non-numeric value") from None
-
-
-def _parse_cache_sizes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ConfigError(f"cache size list {text!r} has a non-integer value") from None
+    return tuple(read_number(v, "--sweep") for v in body.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,20 +261,15 @@ def _main_simulate(argv) -> int:
     else:
         cfg, cfg_strategy = default_config(), None
 
-    overrides = {}
-    if args.warmup is not None:
-        overrides["warmup_events"] = args.warmup
-    if args.events is not None:
-        overrides["horizon_events"] = args.events
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
+    flags = {"warmup_events": args.warmup, "horizon_events": args.events, "base_seed": args.seed}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     if overrides:
         cfg = validate_config(replace(cfg, **overrides))
 
     strategy = None
     if args.strategy:
         text = args.strategy.strip().lower()
-        if args.sweep and ":" not in text and text in SWEEP_PARAM_NAMES:
+        if args.sweep and ":" not in text and STRATEGY_PARAMS.get(text):
             kind = text  # bare parametric family, parameters come from --sweep
         else:
             strategy = StrategySpec.parse(text)
@@ -305,7 +291,8 @@ def _main_simulate(argv) -> int:
         params = (strategy.param,)
 
     cache_sizes = (
-        _parse_cache_sizes(args.cache_sizes) if args.cache_sizes else (cfg.cache_size,)
+        tuple(read_number(m, "--cache-sizes", int) for m in args.cache_sizes.split(","))
+        if args.cache_sizes else (cfg.cache_size,)
     )
     sweep = SweepSpec(
         strategy=kind,
@@ -373,10 +360,7 @@ def _main_oracle_check(argv) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cost-weights", default="0,0.5,1")
     args = parser.parse_args(argv)
-    try:
-        weights = [float(w) for w in args.cost_weights.split(",")]
-    except ValueError:
-        raise ConfigError(f"cost weight list {args.cost_weights!r} has a non-numeric value") from None
+    weights = [read_number(w, "--cost-weights") for w in args.cost_weights.split(",")]
     if not all(0.0 <= w <= 1.0 for w in weights):
         raise ConfigError(f"cost weights must lie in [0, 1], got {args.cost_weights}")
     if args.instances < 1:

@@ -6,6 +6,9 @@ structural checks only; validate_config checks the model invariants
 testable error types. Whether a configuration is stable depends on the
 strategy and on the drawn layout and placement, so no check of it is
 made up front: each run reports signs of overload on its RunResult.
+Each input rule lives here once: read_number reads every number from
+outside text, STRATEGY_PARAMS names each family's parameter, and
+check_cache_geometry is shared by validate_config and placement.
 """
 
 from __future__ import annotations
@@ -35,6 +38,16 @@ class HorizonError(ConfigError):
 
 
 _MAX_SEED = 2**64
+
+
+def read_number(text: str, where: str, kind: type = float):
+    """text as a float, or as an int when kind is int. A value that does
+    not read is a ConfigError naming where it came from and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "integer" if kind is int else "numeric"
+        raise ConfigError(f"{where} has a non-{noun} value {text.strip()!r}") from None
 
 
 @dataclass(frozen=True)
@@ -67,19 +80,23 @@ class ServiceSpec:
         kind, sep, val = text.strip().partition(":")
         if not sep:
             raise ConfigError(f"service spec {text!r} must look like 'exp:1.0' or 'const:2.0'")
-        try:
-            value = float(val)
-        except ValueError:
-            raise ConfigError(f"service spec {text!r} has a non-numeric parameter") from None
-        return cls(kind.strip(), value)
+        return cls(kind.strip(), read_number(val, f"service spec {text!r}"))
 
     def mean(self) -> float:
         return 1.0 / self.value if self.kind == "exp" else self.value
 
 
-# Strategy families, in the order they are documented everywhere.
-STRATEGY_FAMILIES = ("mincost", "minqueue", "pss", "wmc", "mcs")
-_PARAMETRIC = {"pss": "switch probability", "wmc": "cost weight", "mcs": "probe count"}
+# Strategy families, in the order they are documented everywhere, each with
+# its parameter's (sweep name, meaning), or None if it takes no parameter.
+STRATEGY_PARAMS = {"mincost": None, "minqueue": None, "pss": ("zeta", "switch probability"),
+                   "wmc": ("alpha", "cost weight"), "mcs": ("delta", "probe count")}
+
+
+def strategy_param(kind: str) -> tuple[str, str] | None:
+    """STRATEGY_PARAMS' entry for kind; an unknown family is a ConfigError."""
+    if kind not in STRATEGY_PARAMS:
+        raise ConfigError(f"unknown strategy {kind!r}")
+    return STRATEGY_PARAMS[kind]
 
 
 @dataclass(frozen=True)
@@ -95,13 +112,12 @@ class StrategySpec:
     param: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_FAMILIES:
-            raise ConfigError(f"unknown strategy {self.kind!r}")
-        if self.kind in ("mincost", "minqueue"):
+        takes = strategy_param(self.kind)
+        if takes is None:
             if self.param is not None:
                 raise ConfigError(f"{self.kind} takes no parameter")
         elif self.param is None:
-            raise ConfigError(f"{self.kind} needs a {_PARAMETRIC[self.kind]}")
+            raise ConfigError(f"{self.kind} needs a {takes[1]}")
         elif self.kind == "mcs":
             if not math.isfinite(self.param) or int(self.param) != self.param or self.param < 1:
                 raise ConfigError(f"mcs probe count must be an integer >= 1, got {self.param}")
@@ -119,11 +135,7 @@ class StrategySpec:
         kind = kind.strip()
         if not sep:
             return cls(kind)
-        try:
-            param = float(val)
-        except ValueError:
-            raise ConfigError(f"strategy spec {text!r} has a non-numeric parameter") from None
-        return cls(kind, param)
+        return cls(kind, read_number(val, f"strategy spec {text!r}"))
 
     def __str__(self) -> str:
         if self.param is None:
@@ -176,21 +188,25 @@ def default_config(**overrides) -> SimConfig:
     return validate_config(SimConfig(**base))
 
 
+def check_cache_geometry(n_servers: int, n_files: int, cache_size: int) -> None:
+    """Raise ConfigError for an empty cache, CacheSizeError if one cache
+    exceeds the library, and AggregateMemoryError if all caches together
+    cannot hold it."""
+    if cache_size < 1:
+        raise ConfigError("cache_size must be >= 1")
+    if cache_size > n_files:
+        raise CacheSizeError(f"cache_size {cache_size} exceeds n_files {n_files}")
+    if n_servers * cache_size < n_files:
+        raise AggregateMemoryError(
+            f"{n_servers} servers * cache_size {cache_size} cannot cover {n_files} files"
+        )
+
+
 def validate_config(cfg: SimConfig) -> SimConfig:
     """Check every model invariant; return cfg unchanged if all hold."""
     if cfg.n_servers < 1 or cfg.n_users < 1 or cfg.n_files < 1:
         raise ConfigError("n_servers, n_users and n_files must all be >= 1")
-    if cfg.cache_size < 1:
-        raise ConfigError("cache_size must be >= 1")
-    if cfg.cache_size > cfg.n_files:
-        raise CacheSizeError(
-            f"cache_size {cfg.cache_size} exceeds n_files {cfg.n_files}"
-        )
-    if cfg.n_servers * cfg.cache_size < cfg.n_files:
-        raise AggregateMemoryError(
-            f"{cfg.n_servers} servers * cache_size {cfg.cache_size} cannot cover "
-            f"{cfg.n_files} files"
-        )
+    check_cache_geometry(cfg.n_servers, cfg.n_files, cfg.cache_size)
     if len(cfg.arrival_rates) != cfg.n_users:
         raise RateError(
             f"got {len(cfg.arrival_rates)} arrival rates for {cfg.n_users} users"
@@ -353,10 +369,10 @@ class RunResult:
 # fields. `arrival_rate` sets one shared rate for every user; a `strategy`
 # line may preselect a mapping strategy.
 
-_INT_KEYS = frozenset(
+_NUMBER_KEYS = dict.fromkeys(
     ("n_servers", "n_users", "n_files", "cache_size", "horizon_events",
-     "warmup_events", "lattice_side", "base_seed")
-)
+     "warmup_events", "lattice_side", "base_seed"), int,
+) | {"zipf_beta": float, "arrival_rate": float}
 
 
 def parse_config(text: str) -> tuple[SimConfig, StrategySpec | None]:
@@ -381,21 +397,10 @@ def parse_config(text: str) -> tuple[SimConfig, StrategySpec | None]:
 
     fields: dict[str, object] = {}
     for key, value in seen.items():
-        if key in _INT_KEYS:
-            try:
-                fields[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"config key {key!r} needs an integer, got {value!r}") from None
-        elif key in ("zipf_beta", "arrival_rate"):
-            try:
-                fields[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"config key {key!r} needs a number, got {value!r}") from None
+        if key in _NUMBER_KEYS:
+            fields[key] = read_number(value, f"config key {key!r}", _NUMBER_KEYS[key])
         elif key == "arrival_rates":
-            try:
-                fields[key] = tuple(float(v) for v in value.split(","))
-            except ValueError:
-                raise ConfigError(f"config key 'arrival_rates' needs a comma list of numbers") from None
+            fields[key] = tuple(read_number(v, f"config key {key!r}") for v in value.split(","))
         elif key == "service":
             fields[key] = ServiceSpec.parse(value)
         else:

@@ -74,6 +74,8 @@ class TinyInstance:
         t = len(self.arrival_times)
         if not (len(self.users) == len(self.files) == t):
             raise ConfigError("arrival_times, users and files must have equal length")
+        if self.cost.n_servers != self.allocation.n_servers:
+            raise ConfigError("cost matrix and allocation must have equal server counts")
         if self.service.kind != "const":
             raise ConfigError(f"tiny instances need constant service, got {self.service.kind!r}")
         if not 1 <= t <= 8:

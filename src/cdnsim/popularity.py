@@ -10,7 +10,7 @@ from itertools import chain
 from random import Random
 
 from .draws import sample, sample_plan
-from .model import CacheAllocation, ConfigError
+from .model import CacheAllocation, ConfigError, check_cache_geometry
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,7 @@ def proportional_placement(
     so its candidate table is built once per process.
     """
     n_files = profile.n_files
-    if n_servers * cache_size < n_files:
-        raise ConfigError(
-            f"{n_servers} servers * cache_size {cache_size} cannot cover {n_files} files"
-        )
-    if cache_size > n_files:
-        raise ConfigError(f"cache_size {cache_size} exceeds n_files {n_files}")
+    check_cache_geometry(n_servers, n_files, cache_size)
     if cache_size == n_files:
         return _full_replication(n_servers, n_files)
 

@@ -51,7 +51,7 @@ from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .draws import sample as _sample_ties, sample_plan
-from .model import STRATEGY_FAMILIES, StrategySpec
+from .model import STRATEGY_PARAMS, StrategySpec
 
 
 class MappingDecision(NamedTuple):
@@ -204,7 +204,7 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
     every slot of a binding not given its rule's input, scans the queues
     the closure is called with.
     """
-    if spec.kind not in STRATEGY_FAMILIES:
+    if spec.kind not in STRATEGY_PARAMS:
         raise ValueError(f"unknown strategy kind {spec.kind!r}")
     rule, param, by_share = _rule(spec)
     n_servers = len(cost_rows[0])

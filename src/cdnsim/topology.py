@@ -1,4 +1,5 @@
-"""Random lattice placement of users and servers, Manhattan delivery costs."""
+"""Random lattice placement of users and servers, Manhattan delivery costs,
+and cost matrices read from CSV files by model.read_number."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from operator import add
 from random import Random
 
 from .draws import below
-from .model import ConfigError, CostMatrix
+from .model import ConfigError, CostMatrix, read_number
 
 Point = tuple[int, int]
 
@@ -73,12 +74,9 @@ def load_cost_matrix(path) -> CostMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line:
-                continue
-            try:
-                rows.append(tuple(float(v) for v in line.split(",")))
-            except ValueError:
-                raise ConfigError(f"cost matrix line {lineno}: non-numeric entry") from None
+            if line:
+                where = f"cost matrix line {lineno}"
+                rows.append(tuple(read_number(v, where) for v in line.split(",")))
     if not rows:
         raise ConfigError("cost matrix file is empty")
     return CostMatrix(rows)

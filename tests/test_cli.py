@@ -8,10 +8,10 @@ from random import Random
 import pytest
 
 import cdnsim
+from cdnsim import cli
 from cdnsim.cli import (
     CSV_HEADER,
     SweepSpec,
-    _parse_cache_sizes,
     _parse_sweep_values,
     format_csv,
     main,
@@ -19,7 +19,7 @@ from cdnsim.cli import (
 )
 from cdnsim.engine import mix_seed, run_simulation, substream
 from cdnsim.metrics import AggregateResult
-from cdnsim.model import ConfigError, StrategySpec, default_config
+from cdnsim.model import ConfigError, StrategySpec, default_config, read_number
 from cdnsim.popularity import proportional_placement, zipf_profile
 
 
@@ -45,6 +45,10 @@ def test_sweep_spec_validation():
         SweepSpec("pss", (0.5,), (2,), n_runs=0)
     # parameterless families normalize to a single None point
     assert SweepSpec("minqueue", (), (4,)).params == (None,)
+    with pytest.raises(ConfigError, match="^sweep over mcs needs at least one delta value$"):
+        SweepSpec("mcs", (), (2,))
+    with pytest.raises(ConfigError, match="^unknown strategy 'nearest'$"):
+        SweepSpec("nearest", (0.5,), (2,))
 
 
 def test_run_sweep_reproduces_direct_runs():
@@ -74,6 +78,36 @@ def test_parallel_sweep_is_bit_identical_to_serial():
     parallel = run_sweep(SMALL, sweep, workers=2)
     assert format_csv(serial) == format_csv(parallel)
     assert serial == parallel
+
+
+class _PoolRecorder:
+    # Stands in for ProcessPoolExecutor: records each pool's size and runs
+    # its jobs in this process.
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+def test_sweep_starts_at_most_one_worker_per_run(monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(_PoolRecorder, "sizes", [])
+    serial = run_sweep(SMALL, SweepSpec("pss", (0.5,), (2,), n_runs=2), workers=1)
+    assert _PoolRecorder.sizes == []
+    assert run_sweep(SMALL, SweepSpec("pss", (0.5,), (2,), n_runs=2), workers=64) == serial
+    assert _PoolRecorder.sizes == [2]
+    # A one-run sweep runs in this process.
+    run_sweep(SMALL, SweepSpec("pss", (0.5,), (2,), n_runs=1), workers=64)
+    assert _PoolRecorder.sizes == [2]
 
 
 def test_fixed_topology_shares_layout_and_placement():
@@ -116,9 +150,24 @@ def test_sweep_value_parsing():
         _parse_sweep_values("0.5,oops", "pss")
     with pytest.raises(ConfigError, match="non-numeric"):
         _parse_sweep_values("zeta:", "pss")
-    assert _parse_cache_sizes("8,2,70") == (8, 2, 70)
+    assert tuple(read_number(m, "--cache-sizes", int) for m in "8,2,70".split(",")) == (8, 2, 70)
     with pytest.raises(ConfigError):
-        _parse_cache_sizes("2,x")
+        tuple(read_number(m, "--cache-sizes", int) for m in "2,x".split(","))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--strategy", "pss", "--sweep", "zeta:0.5,oops"], "--sweep has a non-numeric value 'oops'"),
+    (["--strategy", "mincost", "--cache-sizes", "2,x"], "--cache-sizes has a non-integer value 'x'"),
+    (["--strategy", "mcs:two"], "strategy spec 'mcs:two' has a non-numeric value 'two'"),
+    (["oracle-check", "--cost-weights", "0,x"], "--cost-weights has a non-numeric value 'x'"),
+])
+def test_main_names_the_flag_and_text_of_an_unreadable_number(argv, message, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    if argv[0] != "oracle-check":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"simulate: error: {message}\n"
+    assert not out.exists()
 
 
 def _write_small_config(path, strategy_line=None):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cdnsim.model import (
+    STRATEGY_PARAMS,
     AggregateMemoryError,
     CacheAllocation,
     CacheSizeError,
@@ -18,6 +19,8 @@ from cdnsim.model import (
     StrategySpec,
     default_config,
     parse_config,
+    read_number,
+    strategy_param,
     uniform_rates,
     validate_config,
 )
@@ -270,8 +273,34 @@ def test_parse_config_names_the_unreadable_key_and_text():
     for key in ("zipf_beta", "arrival_rate"):
         with pytest.raises(ConfigError, match=rf"'{key}'.*'x'"):
             parse_config(f"{key} = x")
-    with pytest.raises(ConfigError, match="'arrival_rates'"):
+    with pytest.raises(ConfigError, match="'arrival_rates'.*'x'"):
         parse_config("n_users = 2\narrival_rates = 0.9,x")
+
+
+def test_read_number_has_one_error_shape():
+    assert read_number(" 2.5", "here") == 2.5
+    assert read_number("7 ", "here", int) == 7
+    with pytest.raises(ConfigError, match="^here has a non-numeric value 'x'$"):
+        read_number(" x ", "here")
+    with pytest.raises(ConfigError, match="^here has a non-integer value '1.5'$"):
+        read_number("1.5", "here", int)
+    # Config keys, spec strings and their parameters share it.
+    with pytest.raises(ConfigError, match="^config key 'n_servers' has a non-integer value 'ten'$"):
+        parse_config("n_servers = ten")
+    with pytest.raises(ConfigError, match="^strategy spec 'pss:abc' has a non-numeric value 'abc'$"):
+        StrategySpec.parse("pss:abc")
+    with pytest.raises(ConfigError, match="^service spec 'exp:fast' has a non-numeric value 'fast'$"):
+        ServiceSpec.parse("exp:fast")
+
+
+def test_strategy_param_table_names_every_family():
+    assert list(STRATEGY_PARAMS) == ["mincost", "minqueue", "pss", "wmc", "mcs"]
+    assert strategy_param("pss") == ("zeta", "switch probability")
+    assert strategy_param("minqueue") is None
+    with pytest.raises(ConfigError, match="^unknown strategy 'nearest'$"):
+        strategy_param("nearest")
+    with pytest.raises(ConfigError, match="^mcs needs a probe count$"):
+        StrategySpec("mcs")
 
 
 def test_config_objects_are_immutable():

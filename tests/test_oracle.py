@@ -180,6 +180,15 @@ def test_instance_validation_rules():
         TinyInstance(cost, alloc, (1.0, 2.0), (0,), (0, 0), svc)
 
 
+def test_instance_rejects_unequal_server_counts():
+    # A 1x2 cost matrix with a 3-server allocation used to pass here and
+    # fail in the search with an IndexError.
+    cost = CostMatrix.from_rows([[1.0, 2.0]])
+    alloc = CacheAllocation.from_sets([{0}, {0}, {0}], n_files=1)
+    with pytest.raises(ConfigError, match="equal server counts"):
+        TinyInstance(cost, alloc, (1.0,), (0,), (0,), ServiceSpec.constant(1.0))
+
+
 def test_enumeration_bound_is_enforced():
     # 7 requests with 4 candidate servers each is 16384 sequences.
     cost = CostMatrix.from_rows([[1.0, 2.0, 3.0, 4.0]])

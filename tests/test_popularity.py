@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cdnsim.engine import run_simulation
-from cdnsim.model import CacheAllocation, ConfigError, ServiceSpec, SimConfig
+from cdnsim.model import (
+    AggregateMemoryError,
+    CacheAllocation,
+    CacheSizeError,
+    ConfigError,
+    ServiceSpec,
+    SimConfig,
+)
 from cdnsim.popularity import (
     CandidateTable,
     PopularityProfile,
@@ -126,10 +133,13 @@ def test_placement_invariants_over_many_trials():
 
 
 def test_placement_rejects_infeasible_geometry():
-    with pytest.raises(ConfigError):
+    # The same typed errors, and messages, as validate_config.
+    with pytest.raises(AggregateMemoryError, match="^3 servers \\* cache_size 2 cannot cover 10 files$"):
         proportional_placement(zipf_profile(10, 0.0), 3, 2, Random(0))  # 6 slots < 10 files
-    with pytest.raises(ConfigError):
+    with pytest.raises(CacheSizeError, match="^cache_size 4 exceeds n_files 3$"):
         proportional_placement(zipf_profile(3, 0.0), 5, 4, Random(0))  # cache > library
+    with pytest.raises(ConfigError, match="^cache_size must be >= 1$"):
+        proportional_placement(zipf_profile(3, 0.0), 5, 0, Random(0))
 
 
 def _repair_oracle(pre_caches, n_files):

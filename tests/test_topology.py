@@ -142,7 +142,7 @@ def test_load_cost_matrix_rejects_ragged_rows(tmp_path):
 def test_load_cost_matrix_rejects_non_numeric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\n3,oops\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^cost matrix line 2 has a non-numeric value 'oops'$"):
         load_cost_matrix(path)
 
 
