@@ -2,11 +2,13 @@
 
 The `simulate` command runs a strategy (or a parameter sweep of one)
 over a grid of cache sizes, replicates each point with deterministic
-per-run seeds, and writes one CSV row per point. Reruns with identical
-flags produce byte-identical CSV files regardless of --workers, which
-starts at most one process per run. Numbers in flags are read by
-model.read_number and sweep names come from model.STRATEGY_PARAMS, so
-the CLI shares the config file's error messages and family table.
+per-run seeds drawn from cfg.base_seed, and writes one CSV row per
+point in the sweep's order: cache sizes ascending, parameters ascending
+within each. Reruns with identical flags produce byte-identical CSV
+files regardless of --workers, which starts at most one process per
+run. Numbers in flags are read by model.read_number and sweep names
+come from model.STRATEGY_PARAMS, so the CLI shares the config file's
+error messages and family table.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class SweepSpec:
     params: tuple[float | None, ...]
     cache_sizes: tuple[int, ...]
     n_runs: int = 10
-    base_seed: int = 0
 
     def __post_init__(self) -> None:
         takes = strategy_param(self.strategy)
@@ -53,15 +54,21 @@ class SweepSpec:
             object.__setattr__(self, "params", (None,))
         elif not self.params:
             raise ConfigError(f"sweep over {self.strategy} needs at least one {takes[0]} value")
+        elif None in self.params:
+            raise ConfigError(f"sweep over {self.strategy} needs a {takes[0]} value in every point")
         if not self.cache_sizes:
             raise ConfigError("sweep needs at least one cache size")
+        # A repeated value would give rows that nothing in the CSV tells apart.
+        if len(set(self.params)) != len(self.params):
+            raise ConfigError(f"sweep repeats a {takes[0]} value: {self.params}")
+        if len(set(self.cache_sizes)) != len(self.cache_sizes):
+            raise ConfigError(f"sweep repeats a cache size: {self.cache_sizes}")
         if self.n_runs < 1:
             raise ConfigError("n_runs must be >= 1")
         # Points are laid out params-ascending within cache-size-ascending;
         # seeds are tied to that canonical order.
         object.__setattr__(self, "cache_sizes", tuple(sorted(self.cache_sizes)))
-        if self.params != (None,):
-            object.__setattr__(self, "params", tuple(sorted(self.params)))
+        object.__setattr__(self, "params", tuple(sorted(self.params)))
 
     def points(self) -> list[tuple[int, float | None]]:
         return [(m, p) for m in self.cache_sizes for p in self.params]
@@ -77,14 +84,14 @@ def _one_run(args):
 def _fixed_topology(cfg: SimConfig, sweep: SweepSpec, cost_matrix=None):
     """The cost matrix and the per-cache-size placements that every run of a
     fixed-topology sweep shares: one layout for the whole sweep and one
-    placement per cache size, both derived from the base seed. A given
+    placement per cache size, both derived from cfg.base_seed. A given
     cost_matrix stands in for the drawn layout."""
-    layout_rng = substream(sweep.base_seed, "sweep-layout")
+    layout_rng = substream(cfg.base_seed, "sweep-layout")
     placements = {}
     for m in sweep.cache_sizes:
         cost_matrix, placements[m] = run_inputs(
             replace(cfg, cache_size=m), layout_rng,
-            Random(mix_seed(sweep.base_seed, "sweep-placement", m)), cost_matrix=cost_matrix,
+            Random(mix_seed(cfg.base_seed, "sweep-placement", m)), cost_matrix=cost_matrix,
         )
     return cost_matrix, placements
 
@@ -110,7 +117,7 @@ def _sweep_runs(cfg: SimConfig, sweep: SweepSpec, cost_matrix, fixed_topology: b
     if fixed_topology:
         cost_matrix, placements = _fixed_topology(cfg, sweep, cost_matrix)
     return [
-        (point_cfg, strategy, mix_seed(sweep.base_seed, point_idx, run_idx), cost_matrix,
+        (point_cfg, strategy, mix_seed(cfg.base_seed, point_idx, run_idx), cost_matrix,
          placements.get(point_cfg.cache_size))
         for point_idx, (point_cfg, strategy) in enumerate(setups)
         for run_idx in range(sweep.n_runs)
@@ -137,12 +144,15 @@ def run_sweep(
 ) -> list[AggregateResult]:
     """Simulate every sweep point n_runs times and aggregate each point.
 
-    Run seeds are mix_seed(base_seed, point_index, run_index), so any
+    Run seeds are mix_seed(cfg.base_seed, point_index, run_index), so any
     point/run can be reproduced in isolation. By default topology and
     placement are redrawn inside every run from its own seed;
     fixed_topology freezes one layout for the whole sweep and one
-    placement per cache size, both derived from the base seed.
+    placement per cache size, both derived from cfg.base_seed. Results
+    come in the sweep's point order.
     """
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
     jobs = _sweep_runs(cfg, sweep, cost_matrix, fixed_topology)
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
@@ -163,16 +173,9 @@ def _fmt(x: float) -> str:
 
 
 def format_csv(results) -> str:
-    """Render aggregates as CSV text, params ascending within cache sizes."""
-    ordered = sorted(
-        results,
-        key=lambda r: (
-            r.cache_size if r.cache_size is not None else -1,
-            r.param if r.param is not None else float("-inf"),
-        ),
-    )
+    """Render aggregates as CSV text, one row per aggregate in the order given."""
     lines = [CSV_HEADER]
-    for r in ordered:
+    for r in results:
         lines.append(
             ",".join(
                 (
@@ -191,11 +194,6 @@ def format_csv(results) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_csv(results, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_csv(results))
 
 
 def _parse_sweep_values(text: str, family: str) -> tuple[float, ...]:
@@ -294,13 +292,7 @@ def _main_simulate(argv) -> int:
         tuple(read_number(m, "--cache-sizes", int) for m in args.cache_sizes.split(","))
         if args.cache_sizes else (cfg.cache_size,)
     )
-    sweep = SweepSpec(
-        strategy=kind,
-        params=params,
-        cache_sizes=cache_sizes,
-        n_runs=args.runs,
-        base_seed=cfg.base_seed,
-    )
+    sweep = SweepSpec(strategy=kind, params=params, cache_sizes=cache_sizes, n_runs=args.runs)
 
     matrix = load_cost_matrix(args.cost_matrix) if args.cost_matrix else None
 
@@ -309,15 +301,11 @@ def _main_simulate(argv) -> int:
             raise ConfigError("--trace/--dump-placement need exactly one point and --runs 1")
         results = _run_traced_point(cfg, sweep, matrix, args)
     else:
-        results = run_sweep(
-            cfg,
-            sweep,
-            workers=max(1, args.workers),
-            cost_matrix=matrix,
-            fixed_topology=args.fixed_topology,
-        )
+        results = run_sweep(cfg, sweep, workers=args.workers, cost_matrix=matrix,
+                            fixed_topology=args.fixed_topology)
 
-    write_csv(results, args.out)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(format_csv(results))
     print(f"wrote {args.out} ({len(results)} rows)", file=sys.stderr)
     return 0
 

@@ -3,9 +3,12 @@
 Everything in here is a plain immutable value object. Construction does
 structural checks only; validate_config checks the model invariants
 (sizes, cache geometry, rates, horizon) in one place with distinct,
-testable error types. Whether a configuration is stable depends on the
-strategy and on the drawn layout and placement, so no check of it is
-made up front: each run reports signs of overload on its RunResult.
+testable error types. Each value type has one constructor, which
+converts what it is given: CostMatrix makes its rows floats and
+CacheAllocation makes each server's files a frozenset. Whether a
+configuration is stable depends on the strategy and on the drawn
+layout and placement, so no check of it is made up front: each run
+reports signs of overload on its RunResult.
 Each input rule lives here once: read_number reads every number from
 outside text, STRATEGY_PARAMS names each family's parameter, and
 check_cache_geometry is shared by validate_config and placement.
@@ -168,10 +171,6 @@ class SimConfig:
         object.__setattr__(self, "arrival_rates", tuple(float(r) for r in self.arrival_rates))
 
 
-def uniform_rates(n_users: int, rate: float) -> tuple[float, ...]:
-    return (float(rate),) * n_users
-
-
 def default_config(**overrides) -> SimConfig:
     """The stock large-system setup: 100 servers, 100 users, 70 files,
     per-user Poisson rate 0.9, unit-rate exponential service, 1e5 arrivals."""
@@ -184,7 +183,7 @@ def default_config(**overrides) -> SimConfig:
         horizon_events=100_000,
     )
     base.update(overrides)
-    base.setdefault("arrival_rates", uniform_rates(base["n_users"], 0.9))
+    base.setdefault("arrival_rates", (0.9,) * base["n_users"])
     return validate_config(SimConfig(**base))
 
 
@@ -257,10 +256,6 @@ class CostMatrix:
                     if not (math.isfinite(c) and c >= 0.0):
                         raise ConfigError(f"cost[{i}][{k}] must be finite and >= 0, got {c}")
 
-    @classmethod
-    def from_rows(cls, rows) -> "CostMatrix":
-        return cls(tuple(rows))
-
     @property
     def n_users(self) -> int:
         return len(self.entries)
@@ -281,8 +276,10 @@ class CacheAllocation:
     _candidate_table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Each server's files are scanned by min and max, and walked only to
-        # name the first unknown one.
+        # The one place each server's files become a frozenset (an exact
+        # frozenset is kept as is); each is scanned by min and max, and
+        # walked only to name the first unknown one.
+        object.__setattr__(self, "server_files", tuple(map(frozenset, self.server_files)))
         if not self.server_files:
             raise ConfigError("allocation must cover at least one server")
         size = len(self.server_files[0])
@@ -300,10 +297,6 @@ class CacheAllocation:
         if len(covered) != n_files:
             missing = sorted(set(range(n_files)) - covered)
             raise ConfigError(f"files {missing} are cached nowhere")
-
-    @classmethod
-    def from_sets(cls, sets, n_files: int) -> "CacheAllocation":
-        return cls(tuple(frozenset(s) for s in sets), n_files)
 
     @property
     def n_servers(self) -> int:
@@ -411,7 +404,7 @@ def parse_config(text: str) -> tuple[SimConfig, StrategySpec | None]:
     shared_rate = fields.pop("arrival_rate", None)
     cfg = default_config(**fields)
     if shared_rate is not None:
-        cfg = validate_config(replace(cfg, arrival_rates=uniform_rates(cfg.n_users, shared_rate)))
+        cfg = validate_config(replace(cfg, arrival_rates=(shared_rate,) * cfg.n_users))
     return cfg, strategy
 
 

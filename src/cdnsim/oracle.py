@@ -198,14 +198,14 @@ def random_tiny_instance(rng: Random, *, n_requests: int = 6) -> TinyInstance:
     n_users = rng.randint(1, 3)
     n_files = rng.randint(2, 3)
     cache_size = rng.randint(math.ceil(n_files / n_servers), n_files)
-    cost = CostMatrix.from_rows(
+    cost = CostMatrix(
         [[rng.uniform(0.0, 10.0) for _ in range(n_servers)] for _ in range(n_users)]
     )
     while True:
         caches = [frozenset(rng.sample(range(n_files), cache_size)) for _ in range(n_servers)]
         if set().union(*caches) == set(range(n_files)):
             break
-    allocation = CacheAllocation(tuple(caches), n_files)
+    allocation = CacheAllocation(caches, n_files)
     times = []
     t = 0.0
     for _ in range(n_requests):

@@ -125,7 +125,7 @@ def proportional_placement(
         replicas[donor] -= 1
         replicas[missing] += 1
 
-    return CacheAllocation.from_sets(caches, n_files)
+    return CacheAllocation(caches, n_files)
 
 
 class CandidateTable(list):

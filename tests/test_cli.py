@@ -2,6 +2,7 @@
 package's top-level API."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -19,7 +20,7 @@ from cdnsim.cli import (
 )
 from cdnsim.engine import mix_seed, run_simulation, substream
 from cdnsim.metrics import AggregateResult
-from cdnsim.model import ConfigError, StrategySpec, default_config, read_number
+from cdnsim.model import ConfigError, CostMatrix, StrategySpec, default_config, read_number
 from cdnsim.popularity import proportional_placement, zipf_profile
 
 
@@ -49,11 +50,18 @@ def test_sweep_spec_validation():
         SweepSpec("mcs", (), (2,))
     with pytest.raises(ConfigError, match="^unknown strategy 'nearest'$"):
         SweepSpec("nearest", (0.5,), (2,))
+    # A repeated value would give rows that nothing in the CSV tells apart.
+    with pytest.raises(ConfigError, match=r"^sweep repeats a zeta value: \(0\.5, 0\.5\)$"):
+        SweepSpec("pss", (0.5, 0.5), (8,))
+    with pytest.raises(ConfigError, match=r"^sweep repeats a cache size: \(8, 2, 8\)$"):
+        SweepSpec("pss", (0.5,), (8, 2, 8))
+    with pytest.raises(ConfigError, match="^sweep over pss needs a zeta value in every point$"):
+        SweepSpec("pss", (None, 0.5), (8,))
 
 
 def test_run_sweep_reproduces_direct_runs():
-    sweep = SweepSpec("pss", (0.0, 1.0), (2,), n_runs=1, base_seed=9)
-    results = run_sweep(SMALL, sweep, workers=1)
+    sweep = SweepSpec("pss", (0.0, 1.0), (2,), n_runs=1)
+    results = run_sweep(replace(SMALL, base_seed=9), sweep, workers=1)
     direct0 = run_simulation(SMALL, StrategySpec("pss", 0.0), mix_seed(9, 0, 0))
     direct1 = run_simulation(SMALL, StrategySpec("pss", 1.0), mix_seed(9, 1, 0))
     assert results[0].mean_cost == direct0.avg_cost
@@ -66,16 +74,17 @@ def test_run_sweep_reproduces_direct_runs():
 
 def test_run_sweep_mcs_query_counts_at_full_replication():
     cfg = default_config(n_servers=8, n_users=8, n_files=5, cache_size=5,
-                         horizon_events=1_000, lattice_side=4)
-    sweep = SweepSpec("mcs", (1, 3, 8), (5,), n_runs=2, base_seed=1)
+                         horizon_events=1_000, lattice_side=4, base_seed=1)
+    sweep = SweepSpec("mcs", (1, 3, 8), (5,), n_runs=2)
     results = run_sweep(cfg, sweep, workers=1)
     assert [r.mean_queries for r in results] == [1.0, 3.0, 8.0]
 
 
 def test_parallel_sweep_is_bit_identical_to_serial():
-    sweep = SweepSpec("wmc", (0.0, 0.5, 1.0), (2, 4), n_runs=2, base_seed=3)
-    serial = run_sweep(SMALL, sweep, workers=1)
-    parallel = run_sweep(SMALL, sweep, workers=2)
+    cfg = replace(SMALL, base_seed=3)
+    sweep = SweepSpec("wmc", (0.0, 0.5, 1.0), (2, 4), n_runs=2)
+    serial = run_sweep(cfg, sweep, workers=1)
+    parallel = run_sweep(cfg, sweep, workers=2)
     assert format_csv(serial) == format_csv(parallel)
     assert serial == parallel
 
@@ -110,34 +119,63 @@ def test_sweep_starts_at_most_one_worker_per_run(monkeypatch):
     assert _PoolRecorder.sizes == [2]
 
 
+def test_run_sweep_seeds_from_the_config():
+    # cfg.base_seed is the sweep's one seed: its runs, its frozen layout and
+    # its placements all come from it.
+    sweep = SweepSpec("mincost", (), (2,), n_runs=1)
+    seeded = replace(SMALL, base_seed=7)
+    [point] = run_sweep(seeded, sweep)
+    direct = run_simulation(SMALL, "mincost", mix_seed(7, 0, 0))
+    assert (point.mean_cost, point.mean_wait) == (direct.avg_cost, direct.avg_wait)
+    assert point != run_sweep(SMALL, sweep)[0]
+    assert run_sweep(seeded, sweep, fixed_topology=True) != run_sweep(
+        SMALL, sweep, fixed_topology=True)
+
+
 def test_fixed_topology_shares_layout_and_placement():
-    sweep = SweepSpec("minqueue", (), (2,), n_runs=2, base_seed=5)
-    fixed = run_sweep(SMALL, sweep, fixed_topology=True)
-    redrawn = run_sweep(SMALL, sweep, fixed_topology=False)
+    cfg = replace(SMALL, base_seed=5)
+    sweep = SweepSpec("minqueue", (), (2,), n_runs=2)
+    fixed = run_sweep(cfg, sweep, fixed_topology=True)
+    redrawn = run_sweep(cfg, sweep, fixed_topology=False)
     # Same seeds, different topology handling: results must differ.
     assert fixed != redrawn
+
+
+def test_fixed_topology_sweep_is_the_same_on_a_pool():
+    # Each pooled job carries the sweep's frozen matrix and placement; a
+    # pool of 2 must give the serial results, drawn or injected matrix alike.
+    cfg = replace(SMALL, base_seed=2)
+    sweep = SweepSpec("wmc", (0.0, 0.5), (2, 4), n_runs=2)
+    matrix = CostMatrix([[abs(i - k) + (i * k) % 3 for k in range(12)] for i in range(12)])
+    drawn = run_sweep(cfg, sweep, workers=1, fixed_topology=True)
+    assert run_sweep(cfg, sweep, workers=2, fixed_topology=True) == drawn
+    injected = run_sweep(cfg, sweep, workers=1, cost_matrix=matrix, fixed_topology=True)
+    assert run_sweep(cfg, sweep, workers=2, cost_matrix=matrix, fixed_topology=True) == injected
+    assert injected != drawn
 
 
 def test_format_csv_pins_layout_and_precision():
     rows = [
         AggregateResult(
-            mean_cost=1.23456789, mean_wait=0.000123456789, mean_queries=2.0,
-            ci95_cost=0.5, ci95_wait=0.25, n_runs=10, param=0.5,
-            strategy="pss", cache_size=8, zipf_beta=0.0, events=100_000,
-        ),
-        AggregateResult(
             mean_cost=2.0, mean_wait=3.0, mean_queries=0.0,
             ci95_cost=0.0, ci95_wait=0.0, n_runs=10, param=None,
             strategy="mincost", cache_size=2, zipf_beta=0.0, events=100_000,
+        ),
+        AggregateResult(
+            mean_cost=1.23456789, mean_wait=0.000123456789, mean_queries=2.0,
+            ci95_cost=0.5, ci95_wait=0.25, n_runs=10, param=0.5,
+            strategy="pss", cache_size=8, zipf_beta=0.0, events=100_000,
         ),
     ]
     text = format_csv(rows)
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
-    # mincost row (cache 2) sorts before pss row (cache 8); param empty for mincost
+    # One row per aggregate in the order given; param empty for mincost
     assert lines[1] == "mincost,,2,0,10,100000,2,0,3,0,0"
     assert lines[2] == "pss,0.5,8,0,10,100000,1.23457,0.5,0.000123457,0.25,2"
     assert text.endswith("\n")
+    # The sweep orders its points; format_csv keeps whatever order it gets.
+    assert format_csv(rows[::-1]).splitlines() == [lines[0], lines[2], lines[1]]
 
 
 def test_sweep_value_parsing():
@@ -206,6 +244,15 @@ def test_main_writes_csv_and_reruns_byte_identically(tmp_path, capsys):
     assert lines[4].startswith("pss,1,4,")
     err = capsys.readouterr().err
     assert "wrote" in err
+
+
+def test_main_rejects_fewer_than_one_worker(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    for workers in ("0", "-3"):
+        assert main(["--strategy", "mincost", "--runs", "2", "--events", "500",
+                     "--workers", workers, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "simulate: error: workers must be >= 1\n"
+    assert not out.exists()
 
 
 def test_main_workers_flag_does_not_change_output(tmp_path):

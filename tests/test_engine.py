@@ -22,7 +22,6 @@ from cdnsim.model import (
     SimConfig,
     StrategySpec,
     default_config,
-    uniform_rates,
 )
 from cdnsim.oracle import mm1_mean_sojourn
 from cdnsim.popularity import CandidateTable, candidate_table, proportional_placement, zipf_profile
@@ -129,8 +128,8 @@ def _single_queue_config(horizon, service="const:2.0", rate=0.5, warmup=0):
     )
 
 
-_UNIT_COST = CostMatrix.from_rows([[3.0]])
-_UNIT_ALLOC = CacheAllocation.from_sets([{0}], n_files=1)
+_UNIT_COST = CostMatrix([[3.0]])
+_UNIT_ALLOC = CacheAllocation([{0}], n_files=1)
 
 
 def test_single_arrival_exact_result():
@@ -296,7 +295,7 @@ def test_littles_law_relates_jobs_and_sojourn():
         n_users=4,
         n_files=4,
         cache_size=2,
-        arrival_rates=uniform_rates(4, 0.6),
+        arrival_rates=(0.6,) * 4,
         service=ServiceSpec("exp", 1.0),
         horizon_events=100_000,
         warmup_events=10_000,
@@ -334,12 +333,12 @@ def test_avg_jobs_integrates_jobs_in_system_over_the_counted_window():
     # Two servers with one file each, so every job's server is fixed by its
     # file. With one counted arrival the window is that job's sojourn, and a
     # warmup job at the other server often outlives it.
-    alloc = CacheAllocation.from_sets([{0}, {1}], n_files=2)
+    alloc = CacheAllocation([{0}, {1}], n_files=2)
     horizon = 20
     outlived = 0
     for warmup in (0, horizon // 2, horizon - 1):
         cfg = SimConfig(n_servers=2, n_users=2, n_files=2, cache_size=1,
-                        arrival_rates=uniform_rates(2, 0.9), service=ServiceSpec("const", 1.0),
+                        arrival_rates=(0.9,) * 2, service=ServiceSpec("const", 1.0),
                         horizon_events=horizon, warmup_events=warmup, lattice_side=3)
         for seed in range(40):
             seen = []
@@ -414,8 +413,8 @@ def test_injected_topology_is_used_verbatim():
         service=ServiceSpec("const", 1.0),
         horizon_events=200,
     )
-    costs = CostMatrix.from_rows([[7.0, 7.0]])
-    alloc = CacheAllocation.from_sets([{0}, {1}], n_files=2)
+    costs = CostMatrix([[7.0, 7.0]])
+    alloc = CacheAllocation([{0}, {1}], n_files=2)
     result = run_simulation(cfg, "mincost", 4, cost_matrix=costs, allocation=alloc)
     assert result.avg_cost == 7.0
 
@@ -423,11 +422,11 @@ def test_injected_topology_is_used_verbatim():
 def test_injected_pieces_must_match_config_shape():
     cfg = _single_queue_config(horizon=10)
     with pytest.raises(ConfigError):
-        run_simulation(cfg, "mincost", 0, cost_matrix=CostMatrix.from_rows([[1.0, 2.0]]))
+        run_simulation(cfg, "mincost", 0, cost_matrix=CostMatrix([[1.0, 2.0]]))
     with pytest.raises(ConfigError):
         run_simulation(
             cfg, "mincost", 0,
-            allocation=CacheAllocation.from_sets([{0}, {0}], n_files=1),
+            allocation=CacheAllocation([{0}, {0}], n_files=1),
         )
     # Right shape, wrong cache size: two files per server where cfg says one.
     cfg = SimConfig(n_servers=2, n_users=1, n_files=2, cache_size=1, arrival_rates=(0.5,),
@@ -435,7 +434,7 @@ def test_injected_pieces_must_match_config_shape():
     with pytest.raises(ConfigError, match="caches 2 files per server.*cache_size 1"):
         run_simulation(
             cfg, "mincost", 0,
-            allocation=CacheAllocation.from_sets([{0, 1}, {0, 1}], n_files=2),
+            allocation=CacheAllocation([{0, 1}, {0, 1}], n_files=2),
         )
 
 
@@ -489,7 +488,7 @@ def test_shadow_fifo_agrees_with_engine_for_every_family():
     for rate, service in product((0.9, 1.3), ("exp:1", "const:0.9")):
         cfg = default_config(n_servers=5, n_users=5, n_files=10, cache_size=3,
                              horizon_events=3_000, warmup_events=300,
-                             arrival_rates=uniform_rates(5, rate),
+                             arrival_rates=(rate,) * 5,
                              service=ServiceSpec.parse(service))
         for strat in ("mincost", "minqueue", "pss:0.5", "wmc:0.3", "mcs:2"):
             shadow = ShadowFifo(cfg, 14)
@@ -540,7 +539,7 @@ def test_engine_queue_state_matches_a_rebuild_at_every_arrival(
     # queues, so buckets come and go.
     cfg = default_config(n_servers=n_servers, n_users=n_users, n_files=n_files,
                          cache_size=n_files, horizon_events=400,
-                         arrival_rates=uniform_rates(n_users, load * n_servers / n_users),
+                         arrival_rates=(load * n_servers / n_users,) * n_users,
                          service=ServiceSpec.parse(service))
     spy = IndexSpy()
     switch = strategy != "wmc:0.5"  # the rest take the switch rule, which keeps an index
@@ -603,7 +602,7 @@ def test_average_queries_per_strategy_family():
         n_users=6,
         n_files=3,
         cache_size=3,
-        arrival_rates=uniform_rates(6, 0.5),
+        arrival_rates=(0.5,) * 6,
         service=ServiceSpec("exp", 1.0),
         horizon_events=2_000,
     )

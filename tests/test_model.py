@@ -21,7 +21,6 @@ from cdnsim.model import (
     parse_config,
     read_number,
     strategy_param,
-    uniform_rates,
     validate_config,
 )
 
@@ -101,7 +100,7 @@ def test_validate_accepts_exactly_the_invariant_region(
         n_users=3,
         n_files=n_files,
         cache_size=cache_size,
-        arrival_rates=uniform_rates(3, 0.5),
+        arrival_rates=(0.5,) * 3,
         service=ServiceSpec.exponential(1.0),
         horizon_events=horizon,
         warmup_events=warmup,
@@ -176,19 +175,19 @@ def test_service_spec_parsing():
 
 
 def test_cost_matrix_validation():
-    m = CostMatrix.from_rows([[1, 2.5], [0, 4]])
+    m = CostMatrix([[1, 2.5], [0, 4]])
     assert m.n_users == 2 and m.n_servers == 2
     assert m.entries[1] == (0.0, 4.0)
     assert all(type(c) is float for row in m.entries for c in row)
-    assert CostMatrix.from_rows([[-0.0, 1]]).entries[0] == (0.0, 1.0)  # -0.0 is a zero cost
+    assert CostMatrix([[-0.0, 1]]).entries[0] == (0.0, 1.0)  # -0.0 is a zero cost
     with pytest.raises(ConfigError):
-        CostMatrix.from_rows([[1, 2], [3]])
+        CostMatrix([[1, 2], [3]])
     with pytest.raises(ConfigError):
-        CostMatrix.from_rows([[1, -2]])
+        CostMatrix([[1, -2]])
     with pytest.raises(ConfigError):
-        CostMatrix.from_rows([[float("nan"), 1]])
+        CostMatrix([[float("nan"), 1]])
     with pytest.raises(ConfigError):
-        CostMatrix.from_rows([])
+        CostMatrix([])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -0.5])
@@ -197,22 +196,25 @@ def test_cost_matrix_names_the_first_bad_entry(bad):
     # entry; the message must name its exact position and value.
     rows = [[0.0, 1.0, 2.0, 5.0], [3, 4.0, bad, -1.0]]
     with pytest.raises(ConfigError) as excinfo:
-        CostMatrix.from_rows(rows)
+        CostMatrix(rows)
     assert str(excinfo.value) == f"cost[1][2] must be finite and >= 0, got {bad}"
 
 
 def test_cache_allocation_validation():
-    ok = CacheAllocation.from_sets([{0, 1}, {1, 2}], n_files=3)
+    ok = CacheAllocation([{0, 1}, {1, 2}], n_files=3)
     assert ok.cache_size == 2 and ok.n_servers == 2
+    # The constructor makes each server's files a frozenset, in a tuple.
+    assert ok.server_files == (frozenset({0, 1}), frozenset({1, 2}))
+    assert all(type(files) is frozenset for files in ok.server_files)
     with pytest.raises(ConfigError):  # file 2 uncovered
-        CacheAllocation.from_sets([{0}, {1}], n_files=3)
+        CacheAllocation([{0}, {1}], n_files=3)
     with pytest.raises(ConfigError):  # unequal cache sizes
-        CacheAllocation.from_sets([{0, 1}, {2}], n_files=3)
+        CacheAllocation([{0, 1}, {2}], n_files=3)
     with pytest.raises(ConfigError, match=r"^server 0 caches unknown file 3$"):
-        CacheAllocation.from_sets([{0, 3}, {1, 2}], n_files=3)
+        CacheAllocation([{0, 3}, {1, 2}], n_files=3)
     # The first server holding an unknown file is named, with that file.
     with pytest.raises(ConfigError, match=r"^server 2 caches unknown file -1$"):
-        CacheAllocation.from_sets([{0, 1}, {1, 2}, {-1, 2}, {0, 5}], n_files=3)
+        CacheAllocation([{0, 1}, {1, 2}, {-1, 2}, {0, 5}], n_files=3)
     with pytest.raises(ConfigError, match="at least one server"):
         CacheAllocation((), 1)
 

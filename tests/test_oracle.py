@@ -59,8 +59,8 @@ def test_supermarket_rejects_bad_arguments():
 
 def _single_server_instance():
     return TinyInstance(
-        cost=CostMatrix.from_rows([[2.0]]),
-        allocation=CacheAllocation.from_sets([{0, 1}], n_files=2),
+        cost=CostMatrix([[2.0]]),
+        allocation=CacheAllocation([{0, 1}], n_files=2),
         arrival_times=(1.0, 1.5),
         users=(0, 0),
         files=(0, 1),
@@ -80,8 +80,8 @@ def _two_server_instance():
     # server 0 cheap, server 1 dear, both hold the single file;
     # back-to-back arrivals make load spreading worthwhile.
     return TinyInstance(
-        cost=CostMatrix.from_rows([[1.0, 5.0]]),
-        allocation=CacheAllocation.from_sets([{0}, {0}], n_files=1),
+        cost=CostMatrix([[1.0, 5.0]]),
+        allocation=CacheAllocation([{0}, {0}], n_files=1),
         arrival_times=(1.0, 1.1),
         users=(0, 0),
         files=(0, 0),
@@ -94,8 +94,8 @@ def test_replayed_strategy_sees_a_departure_at_an_arrival_as_gone():
     # the engine, it has left: wmc:0.4 sees empty queues and takes the free
     # server 0. Counted as still there, it would take server 1 (cost 10).
     inst = TinyInstance(
-        cost=CostMatrix.from_rows([[0.0, 10.0]]),
-        allocation=CacheAllocation.from_sets([{0}, {0}], n_files=1),
+        cost=CostMatrix([[0.0, 10.0]]),
+        allocation=CacheAllocation([{0}, {0}], n_files=1),
         arrival_times=(1.0, 2.0),
         users=(0, 0),
         files=(0, 0),
@@ -160,8 +160,8 @@ def test_replayed_switch_extremes_match_pure_strategies():
 
 
 def test_instance_validation_rules():
-    cost = CostMatrix.from_rows([[1.0]])
-    alloc = CacheAllocation.from_sets([{0}], n_files=1)
+    cost = CostMatrix([[1.0]])
+    alloc = CacheAllocation([{0}], n_files=1)
     svc = ServiceSpec.constant(1.0)
     with pytest.raises(ConfigError):
         TinyInstance(cost, alloc, (), (), (), svc)  # zero requests
@@ -183,16 +183,16 @@ def test_instance_validation_rules():
 def test_instance_rejects_unequal_server_counts():
     # A 1x2 cost matrix with a 3-server allocation used to pass here and
     # fail in the search with an IndexError.
-    cost = CostMatrix.from_rows([[1.0, 2.0]])
-    alloc = CacheAllocation.from_sets([{0}, {0}, {0}], n_files=1)
+    cost = CostMatrix([[1.0, 2.0]])
+    alloc = CacheAllocation([{0}, {0}, {0}], n_files=1)
     with pytest.raises(ConfigError, match="equal server counts"):
         TinyInstance(cost, alloc, (1.0,), (0,), (0,), ServiceSpec.constant(1.0))
 
 
 def test_enumeration_bound_is_enforced():
     # 7 requests with 4 candidate servers each is 16384 sequences.
-    cost = CostMatrix.from_rows([[1.0, 2.0, 3.0, 4.0]])
-    alloc = CacheAllocation.from_sets([{0}, {0}, {0}, {0}], n_files=1)
+    cost = CostMatrix([[1.0, 2.0, 3.0, 4.0]])
+    alloc = CacheAllocation([{0}, {0}, {0}, {0}], n_files=1)
     with pytest.raises(ConfigError):
         TinyInstance(
             cost, alloc,

@@ -251,7 +251,8 @@ def test_full_replication_is_one_shared_allocation_that_draws_nothing():
     state = rng.getstate()
     alloc = proportional_placement(zipf_profile(70, 1.3), 100, 70, rng)
     assert rng.getstate() == state
-    assert alloc == CacheAllocation.from_sets([set(range(70))] * 100, 70)
+    assert alloc == CacheAllocation([set(range(70))] * 100, 70)
+    assert len({id(files) for files in alloc.server_files}) == 1  # one frozenset, shared
     assert proportional_placement(zipf_profile(70, 0.0), 100, 70, Random(5)) is alloc
     assert proportional_placement(zipf_profile(70, 0.0), 99, 70, Random(5)) is not alloc
     table = candidate_table(alloc)

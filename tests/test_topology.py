@@ -125,7 +125,7 @@ def test_manhattan_matrix_equals_per_entry_distances(name, layout):
 
 
 def test_cost_matrix_roundtrip(tmp_path):
-    matrix = CostMatrix.from_rows([[0.0, 5.5, 4.0], [8.0, 3.0, 4.25]])
+    matrix = CostMatrix([[0.0, 5.5, 4.0], [8.0, 3.0, 4.25]])
     path = tmp_path / "costs.csv"
     path.write_text("0,5.5,4\n8.0,3,4.25\n")
     loaded = load_cost_matrix(path)
