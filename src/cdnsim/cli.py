@@ -4,9 +4,10 @@ The `simulate` command runs a strategy (or a parameter sweep of one)
 over a grid of cache sizes, replicates each point with deterministic
 per-run seeds drawn from cfg.base_seed, and writes one CSV row per
 point in the sweep's order: cache sizes ascending, parameters ascending
-within each. Reruns with identical flags produce byte-identical CSV
-files regardless of --workers, which starts at most one process per
-run. Numbers in flags are read by model.read_number and sweep names
+within each. Every call goes through one driver, run_sweep; a --trace
+or --dump-placement file is an output of a one-run sweep's run. Reruns
+with identical flags produce byte-identical CSV files regardless of
+--workers, which starts at most one process per run. Numbers in flags are read by model.read_number and sweep names
 come from model.STRATEGY_PARAMS, so the CLI shares the config file's
 error messages and family table.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from random import Random
 
@@ -26,6 +28,7 @@ from .model import (
     ConfigError,
     SimConfig,
     StrategySpec,
+    check_cost_matrix,
     default_config,
     load_config,
     read_number,
@@ -74,30 +77,30 @@ class SweepSpec:
         return [(m, p) for m in self.cache_sizes for p in self.params]
 
 
-def _one_run(args):
-    cfg, strategy, run_seed, cost_matrix, allocation = args
-    return run_simulation(
-        cfg, strategy, run_seed, cost_matrix=cost_matrix, allocation=allocation
-    )
-
-
-def _fixed_topology(cfg: SimConfig, sweep: SweepSpec, cost_matrix=None):
-    """The cost matrix and the per-cache-size placements that every run of a
-    fixed-topology sweep shares: one layout for the whole sweep and one
-    placement per cache size, both derived from cfg.base_seed. A given
-    cost_matrix stands in for the drawn layout."""
-    layout_rng = substream(cfg.base_seed, "sweep-layout")
-    placements = {}
-    for m in sweep.cache_sizes:
-        cost_matrix, placements[m] = run_inputs(
-            replace(cfg, cache_size=m), layout_rng,
-            Random(mix_seed(cfg.base_seed, "sweep-placement", m)), cost_matrix=cost_matrix,
+def _one_run(job):
+    # One sweep run. The one run of a traced sweep also writes its trace and
+    # placement files, opened here, where the run happens.
+    cfg, strategy, run_seed, cost_matrix, allocation, trace, placement = job
+    if placement:
+        # Materialize what the run would draw so the allocation can be dumped.
+        cost_matrix, allocation = run_inputs(
+            cfg, substream(run_seed, "layout"), substream(run_seed, "placement"),
+            cost_matrix=cost_matrix, allocation=allocation,
         )
-    return cost_matrix, placements
+        with open(placement, "w", encoding="utf-8") as fh:
+            for k, files in enumerate(allocation.server_files):
+                fh.write(f"{k}: {','.join(str(f) for f in sorted(files))}\n")
+    with (open(trace, "w", encoding="utf-8", newline="") if trace else nullcontext()) as fh:
+        return run_simulation(cfg, strategy, run_seed, cost_matrix=cost_matrix,
+                              allocation=allocation, trace=fh)
 
 
-def _point_setup(cfg: SimConfig, sweep: SweepSpec):
-    # (config, strategy) of every sweep point, with the point named in errors.
+def _sweep_runs(cfg: SimConfig, sweep: SweepSpec, cost_matrix, fixed_topology: bool,
+                trace=None, placement=None):
+    # (config, strategy, run seed, cost matrix, allocation, trace path,
+    # placement path) of every run, in point order and run order within a
+    # point. Every point is checked, and named in its error, before any
+    # input is drawn or any file opened.
     setups = []
     for m, param in sweep.points():
         try:
@@ -106,32 +109,24 @@ def _point_setup(cfg: SimConfig, sweep: SweepSpec):
             )
         except ConfigError as err:
             raise ConfigError(f"sweep point M={m} param={param}: {err}") from err
-    return setups
-
-
-def _sweep_runs(cfg: SimConfig, sweep: SweepSpec, cost_matrix, fixed_topology: bool):
-    # (config, strategy, run seed, cost matrix, allocation) of every run, in
-    # point order and run order within a point.
-    setups = _point_setup(cfg, sweep)
     placements = {}
     if fixed_topology:
-        cost_matrix, placements = _fixed_topology(cfg, sweep, cost_matrix)
+        # One layout for the whole sweep and one placement per cache size,
+        # both from cfg.base_seed; a given cost_matrix stands in for the layout.
+        layout_rng = substream(cfg.base_seed, "sweep-layout")
+        for m in sweep.cache_sizes:
+            cost_matrix, placements[m] = run_inputs(
+                replace(cfg, cache_size=m), layout_rng,
+                Random(mix_seed(cfg.base_seed, "sweep-placement", m)), cost_matrix=cost_matrix,
+            )
+    elif cost_matrix is not None:
+        check_cost_matrix(cost_matrix, cfg)
     return [
         (point_cfg, strategy, mix_seed(cfg.base_seed, point_idx, run_idx), cost_matrix,
-         placements.get(point_cfg.cache_size))
+         placements.get(point_cfg.cache_size), trace, placement)
         for point_idx, (point_cfg, strategy) in enumerate(setups)
         for run_idx in range(sweep.n_runs)
     ]
-
-
-def _aggregate_point(cfg: SimConfig, sweep: SweepSpec, m: int, param, results) -> AggregateResult:
-    return replace(
-        aggregate_runs(results, param=param),
-        strategy=sweep.strategy,
-        cache_size=m,
-        zipf_beta=cfg.zipf_beta,
-        events=cfg.horizon_events,
-    )
 
 
 def run_sweep(
@@ -141,6 +136,8 @@ def run_sweep(
     workers: int = 1,
     cost_matrix=None,
     fixed_topology: bool = False,
+    _trace=None,
+    _placement=None,
 ) -> list[AggregateResult]:
     """Simulate every sweep point n_runs times and aggregate each point.
 
@@ -149,11 +146,16 @@ def run_sweep(
     placement are redrawn inside every run from its own seed;
     fixed_topology freezes one layout for the whole sweep and one
     placement per cache size, both derived from cfg.base_seed. Results
-    come in the sweep's point order.
+    come in the sweep's point order. This is the one driver of every
+    `simulate` call: the CLI's --trace and --dump-placement files
+    (_trace, _placement) are outputs of a one-point, one-run sweep's
+    run, written where that run happens.
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    jobs = _sweep_runs(cfg, sweep, cost_matrix, fixed_topology)
+    if (_trace or _placement) and (len(sweep.points()) != 1 or sweep.n_runs != 1):
+        raise ConfigError("--trace/--dump-placement need exactly one point and --runs 1")
+    jobs = _sweep_runs(cfg, sweep, cost_matrix, fixed_topology, _trace, _placement)
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -163,7 +165,9 @@ def run_sweep(
 
     n = sweep.n_runs
     return [
-        _aggregate_point(cfg, sweep, m, param, results[i * n : (i + 1) * n])
+        replace(aggregate_runs(results[i * n : (i + 1) * n], param=param),
+                strategy=sweep.strategy, cache_size=m, zipf_beta=cfg.zipf_beta,
+                events=cfg.horizon_events)
         for i, (m, param) in enumerate(sweep.points())
     ]
 
@@ -296,45 +300,14 @@ def _main_simulate(argv) -> int:
 
     matrix = load_cost_matrix(args.cost_matrix) if args.cost_matrix else None
 
-    if args.trace or args.dump_placement:
-        if len(sweep.points()) != 1 or sweep.n_runs != 1:
-            raise ConfigError("--trace/--dump-placement need exactly one point and --runs 1")
-        results = _run_traced_point(cfg, sweep, matrix, args)
-    else:
-        results = run_sweep(cfg, sweep, workers=args.workers, cost_matrix=matrix,
-                            fixed_topology=args.fixed_topology)
+    results = run_sweep(cfg, sweep, workers=args.workers, cost_matrix=matrix,
+                        fixed_topology=args.fixed_topology,
+                        _trace=args.trace, _placement=args.dump_placement)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(format_csv(results))
     print(f"wrote {args.out} ({len(results)} rows)", file=sys.stderr)
     return 0
-
-
-def _run_traced_point(cfg, sweep, matrix, args):
-    # The sweep's single run, as run_sweep would make it.
-    (m, param) = sweep.points()[0]
-    [(point_cfg, strategy, run_seed, matrix, allocation)] = _sweep_runs(
-        cfg, sweep, matrix, args.fixed_topology)
-    # Materialize what the run would draw so the allocation can be dumped.
-    matrix, allocation = run_inputs(
-        point_cfg, substream(run_seed, "layout"), substream(run_seed, "placement"),
-        cost_matrix=matrix, allocation=allocation,
-    )
-    if args.dump_placement:
-        with open(args.dump_placement, "w", encoding="utf-8") as fh:
-            for k, files in enumerate(allocation.server_files):
-                fh.write(f"{k}: {','.join(str(f) for f in sorted(files))}\n")
-
-    trace_fh = open(args.trace, "w", encoding="utf-8", newline="") if args.trace else None
-    try:
-        result = run_simulation(
-            point_cfg, strategy, run_seed,
-            cost_matrix=matrix, allocation=allocation, trace=trace_fh,
-        )
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-    return [_aggregate_point(cfg, sweep, m, param, [result])]
 
 
 def _main_oracle_check(argv) -> int:

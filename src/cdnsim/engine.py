@@ -42,6 +42,7 @@ from .model import (
     RunResult,
     SimConfig,
     StrategySpec,
+    check_cost_matrix,
     validate_config,
 )
 from .popularity import candidate_table, proportional_placement, zipf_profile
@@ -88,13 +89,13 @@ def _trace_hook(trace, decision_hook):
     return hook
 
 
-def run_inputs(cfg: SimConfig, layout_rng: Random, placement_rng: Random, *, profile=None,
+def run_inputs(cfg: SimConfig, layout_rng: Random, placement_rng: Random, *,
                cost_matrix=None, allocation=None):
     """The (cost_matrix, allocation) pair of a validated cfg.
 
     A piece not given is drawn: the lattice layout and its Manhattan cost
-    matrix from layout_rng, the placement of profile (by default cfg's Zipf
-    profile) from placement_rng. A given one must match cfg's shape.
+    matrix from layout_rng, the placement of cfg's Zipf profile from
+    placement_rng. A given one must match cfg's shape.
     """
     n_servers = cfg.n_servers
     n_users = cfg.n_users
@@ -104,16 +105,13 @@ def run_inputs(cfg: SimConfig, layout_rng: Random, placement_rng: Random, *, pro
         cost_matrix = manhattan_cost_matrix(
             random_lattice_layout(n_users, n_servers, cfg.lattice_side, layout_rng)
         )
-    elif cost_matrix.n_users != n_users or cost_matrix.n_servers != n_servers:
-        raise ConfigError(
-            f"cost matrix is {cost_matrix.n_users}x{cost_matrix.n_servers}, "
-            f"config needs {n_users}x{n_servers}"
-        )
+    else:
+        check_cost_matrix(cost_matrix, cfg)
 
     if allocation is None:
-        if profile is None:
-            profile = zipf_profile(n_files, cfg.zipf_beta)
-        allocation = proportional_placement(profile, n_servers, cfg.cache_size, placement_rng)
+        allocation = proportional_placement(
+            zipf_profile(n_files, cfg.zipf_beta), n_servers, cfg.cache_size, placement_rng
+        )
     elif allocation.n_servers != n_servers or allocation.n_files != n_files:
         raise ConfigError("allocation does not match the configured system size")
     elif allocation.cache_size != cfg.cache_size:
@@ -152,10 +150,9 @@ def run_simulation(
         strategy = StrategySpec.parse(strategy)
 
     n_servers = cfg.n_servers
-    profile = zipf_profile(cfg.n_files, cfg.zipf_beta)
     cost_matrix, allocation = run_inputs(
         cfg, substream(run_seed, "layout"), substream(run_seed, "placement"),
-        profile=profile, cost_matrix=cost_matrix, allocation=allocation,
+        cost_matrix=cost_matrix, allocation=allocation,
     )
     rows = cost_matrix.entries
     table = candidate_table(allocation)
@@ -187,7 +184,7 @@ def run_simulation(
     # cumulative probability is pinned to 1.0.
     cum_rates = list(accumulate(cfg.arrival_rates))
     total_rate = cum_rates[-1]
-    cum_probs = profile.cumulative()
+    cum_probs = zipf_profile(cfg.n_files, cfg.zipf_beta).cumulative()
 
     horizon = cfg.horizon_events
     warmup = cfg.warmup_events

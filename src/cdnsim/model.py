@@ -10,8 +10,9 @@ configuration is stable depends on the strategy and on the drawn
 layout and placement, so no check of it is made up front: each run
 reports signs of overload on its RunResult.
 Each input rule lives here once: read_number reads every number from
-outside text, STRATEGY_PARAMS names each family's parameter, and
-check_cache_geometry is shared by validate_config and placement.
+outside text, STRATEGY_PARAMS names each family's parameter,
+check_cache_geometry is shared by validate_config and placement, and
+check_cost_matrix by the run inputs and the sweep driver.
 """
 
 from __future__ import annotations
@@ -68,14 +69,6 @@ class ServiceSpec:
         if self.kind not in ("exp", "const"):
             raise ConfigError(f"unknown service kind {self.kind!r}")
         object.__setattr__(self, "value", float(self.value))
-
-    @classmethod
-    def exponential(cls, rate: float) -> "ServiceSpec":
-        return cls("exp", rate)
-
-    @classmethod
-    def constant(cls, duration: float) -> "ServiceSpec":
-        return cls("const", duration)
 
     @classmethod
     def parse(cls, text: str) -> "ServiceSpec":
@@ -179,7 +172,7 @@ def default_config(**overrides) -> SimConfig:
         n_users=100,
         n_files=70,
         cache_size=8,
-        service=ServiceSpec.exponential(1.0),
+        service=ServiceSpec("exp", 1.0),
         horizon_events=100_000,
     )
     base.update(overrides)
@@ -198,6 +191,15 @@ def check_cache_geometry(n_servers: int, n_files: int, cache_size: int) -> None:
     if n_servers * cache_size < n_files:
         raise AggregateMemoryError(
             f"{n_servers} servers * cache_size {cache_size} cannot cover {n_files} files"
+        )
+
+
+def check_cost_matrix(cost_matrix: CostMatrix, cfg: SimConfig) -> None:
+    """Raise ConfigError unless cost_matrix is cfg's n_users x n_servers."""
+    if (cost_matrix.n_users, cost_matrix.n_servers) != (cfg.n_users, cfg.n_servers):
+        raise ConfigError(
+            f"cost matrix is {cost_matrix.n_users}x{cost_matrix.n_servers}, "
+            f"config needs {cfg.n_users}x{cfg.n_servers}"
         )
 
 

@@ -217,5 +217,5 @@ def random_tiny_instance(rng: Random, *, n_requests: int = 6) -> TinyInstance:
         arrival_times=tuple(times),
         users=tuple(rng.randrange(n_users) for _ in range(n_requests)),
         files=tuple(rng.randrange(n_files) for _ in range(n_requests)),
-        service=ServiceSpec.constant(1.0),
+        service=ServiceSpec("const", 1.0),
     )

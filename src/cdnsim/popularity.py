@@ -41,9 +41,11 @@ class PopularityProfile:
         return cum
 
 
+@lru_cache(maxsize=32)
 def zipf_profile(n_files: int, beta: float) -> PopularityProfile:
     """Power-law popularity: file rank i gets weight 1 / (i+1)^beta,
-    normalized over the whole library. beta = 0 is uniform."""
+    normalized over the whole library. beta = 0 is uniform. The profile
+    is a frozen value, so each (n_files, beta) is built once per process."""
     if n_files < 1:
         raise ConfigError("n_files must be >= 1")
     if beta < 0:

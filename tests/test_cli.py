@@ -247,12 +247,18 @@ def test_main_writes_csv_and_reruns_byte_identically(tmp_path, capsys):
 
 
 def test_main_rejects_fewer_than_one_worker(tmp_path, capsys):
+    # The workers rule holds on every path: a plain sweep, a traced run and a
+    # placement dump, with no CSV, trace or placement file left behind.
     out = tmp_path / "o.csv"
-    for workers in ("0", "-3"):
-        assert main(["--strategy", "mincost", "--runs", "2", "--events", "500",
-                     "--workers", workers, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "simulate: error: workers must be >= 1\n"
-    assert not out.exists()
+    trace = tmp_path / "t.csv"
+    placement = tmp_path / "p.txt"
+    for outputs in ([], ["--trace", str(trace)], ["--dump-placement", str(placement)]):
+        for runs in ("1", "2"):
+            for workers in ("0", "-3"):
+                assert main(["--strategy", "mincost", "--runs", runs, "--events", "500",
+                             "--workers", workers, "--out", str(out)] + outputs) == 2
+                assert capsys.readouterr().err == "simulate: error: workers must be >= 1\n"
+    assert not out.exists() and not trace.exists() and not placement.exists()
 
 
 def test_main_workers_flag_does_not_change_output(tmp_path):
@@ -369,6 +375,51 @@ def test_fixed_topology_trace_point_matches_the_sweep(tmp_path):
         substream(mix_seed(6, 0, 0), "placement"),
     )
     assert redrawn != allocation
+
+
+@pytest.mark.parametrize("inputs", [[], ["--fixed-topology"], ["--cost-matrix"]],
+                         ids=["drawn", "fixed", "injected"])
+def test_traced_point_is_the_sweep_row(inputs, tmp_path):
+    # A traced run is the one run of a one-point sweep: its CSV is the
+    # untraced CSV byte for byte. A trace-only run draws its inputs inside
+    # run_simulation, a run that also dumps the placement materializes them
+    # first; both must write the same trace.
+    cfg_path = tmp_path / "sim.cfg"
+    _write_small_config(cfg_path)
+    if inputs == ["--cost-matrix"]:
+        matrix_path = tmp_path / "costs.csv"
+        matrix_path.write_text("".join(
+            ",".join(str(abs(i - k) + (i * k) % 3) for k in range(12)) + "\n" for i in range(12)))
+        inputs = inputs + [str(matrix_path)]
+    base = ["--config", str(cfg_path), "--strategy", "wmc:0.5", "--runs", "1",
+            "--seed", "3"] + inputs
+    plain, traced, dumped = (tmp_path / f"{name}.csv" for name in ("plain", "traced", "dumped"))
+    trace_only, trace_dumped = tmp_path / "t1.csv", tmp_path / "t2.csv"
+    assert main(base + ["--out", str(plain)]) == 0
+    assert main(base + ["--out", str(traced), "--trace", str(trace_only)]) == 0
+    assert main(base + ["--out", str(dumped), "--trace", str(trace_dumped),
+                        "--dump-placement", str(tmp_path / "p.txt")]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+    assert dumped.read_bytes() == plain.read_bytes()
+    assert len(trace_only.read_text().splitlines()) == 2_000
+    assert trace_only.read_bytes() == trace_dumped.read_bytes()
+
+
+def test_main_writes_no_file_for_a_cost_matrix_of_the_wrong_shape(tmp_path, capsys):
+    # The matrix is checked before a trace file is opened, drawn or frozen layout alike.
+    cfg_path = tmp_path / "sim.cfg"
+    _write_small_config(cfg_path)
+    matrix_path = tmp_path / "costs.csv"
+    matrix_path.write_text("0,1,2\n1,0,1\n2,1,0\n")
+    out = tmp_path / "o.csv"
+    trace = tmp_path / "t.csv"
+    for fixed in ([], ["--fixed-topology"]):
+        assert main(["--config", str(cfg_path), "--strategy", "mincost", "--runs", "1",
+                     "--cost-matrix", str(matrix_path), "--out", str(out),
+                     "--trace", str(trace)] + fixed) == 2
+        assert capsys.readouterr().err == "simulate: error: cost matrix is 3x3, config needs 12x12\n"
+    assert not out.exists() and not trace.exists()
+
 
 def test_main_trace_is_strategy_insensitive_in_arrival_columns(tmp_path):
     cfg_path = tmp_path / "sim.cfg"

@@ -35,7 +35,7 @@ def test_default_config_is_valid():
     assert cfg.n_users == 100
     assert cfg.n_files == 70
     assert cfg.arrival_rates == (0.9,) * 100
-    assert cfg.service == ServiceSpec.exponential(1.0)
+    assert cfg.service == ServiceSpec("exp", 1.0)
     assert validate_config(cfg) is cfg
 
 
@@ -55,7 +55,7 @@ def test_nonpositive_rates_are_rate_errors():
     with pytest.raises(RateError):
         make_config(arrival_rates=(0.9,) * 99 + (-1.0,))
     with pytest.raises(RateError):
-        make_config(service=ServiceSpec.exponential(0.0))
+        make_config(service=ServiceSpec("exp", 0.0))
     # wrong vector length is also a rate problem
     with pytest.raises(RateError):
         make_config(arrival_rates=(0.9, 0.9))
@@ -101,7 +101,7 @@ def test_validate_accepts_exactly_the_invariant_region(
         n_files=n_files,
         cache_size=cache_size,
         arrival_rates=(0.5,) * 3,
-        service=ServiceSpec.exponential(1.0),
+        service=ServiceSpec("exp", 1.0),
         horizon_events=horizon,
         warmup_events=warmup,
     )
@@ -241,7 +241,7 @@ def test_parse_config_full_file():
     assert cfg.n_servers == 10
     assert cfg.n_users == 5
     assert cfg.arrival_rates == (0.8,) * 5
-    assert cfg.service == ServiceSpec.exponential(2.0)
+    assert cfg.service == ServiceSpec("exp", 2.0)
     assert cfg.zipf_beta == 1.0
     assert cfg.base_seed == 99
     assert strategy == StrategySpec("pss", 0.25)

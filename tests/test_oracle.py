@@ -64,7 +64,7 @@ def _single_server_instance():
         arrival_times=(1.0, 1.5),
         users=(0, 0),
         files=(0, 1),
-        service=ServiceSpec.constant(1.0),
+        service=ServiceSpec("const", 1.0),
     )
 
 
@@ -85,7 +85,7 @@ def _two_server_instance():
         arrival_times=(1.0, 1.1),
         users=(0, 0),
         files=(0, 0),
-        service=ServiceSpec.constant(1.0),
+        service=ServiceSpec("const", 1.0),
     )
 
 
@@ -99,7 +99,7 @@ def test_replayed_strategy_sees_a_departure_at_an_arrival_as_gone():
         arrival_times=(1.0, 2.0),
         users=(0, 0),
         files=(0, 0),
-        service=ServiceSpec.constant(1.0),
+        service=ServiceSpec("const", 1.0),
     )
     assert sequence_objective(inst, (0, 0), 0.5) == 0.5
     assert replay_strategy(inst, "wmc:0.4", 0.5, Random(0)) == 0.5
@@ -162,7 +162,7 @@ def test_replayed_switch_extremes_match_pure_strategies():
 def test_instance_validation_rules():
     cost = CostMatrix([[1.0]])
     alloc = CacheAllocation([{0}], n_files=1)
-    svc = ServiceSpec.constant(1.0)
+    svc = ServiceSpec("const", 1.0)
     with pytest.raises(ConfigError):
         TinyInstance(cost, alloc, (), (), (), svc)  # zero requests
     with pytest.raises(ConfigError):
@@ -175,7 +175,7 @@ def test_instance_validation_rules():
     with pytest.raises(ConfigError):
         TinyInstance(cost, alloc, (1.0,), (0,), (1,), svc)  # unknown file
     with pytest.raises(ConfigError):
-        TinyInstance(cost, alloc, (1.0,), (0,), (0,), ServiceSpec.exponential(1.0))  # exp: service
+        TinyInstance(cost, alloc, (1.0,), (0,), (0,), ServiceSpec("exp", 1.0))  # exp: service
     with pytest.raises(ConfigError, match="equal length"):
         TinyInstance(cost, alloc, (1.0, 2.0), (0,), (0, 0), svc)
 
@@ -186,7 +186,7 @@ def test_instance_rejects_unequal_server_counts():
     cost = CostMatrix([[1.0, 2.0]])
     alloc = CacheAllocation([{0}, {0}, {0}], n_files=1)
     with pytest.raises(ConfigError, match="equal server counts"):
-        TinyInstance(cost, alloc, (1.0,), (0,), (0,), ServiceSpec.constant(1.0))
+        TinyInstance(cost, alloc, (1.0,), (0,), (0,), ServiceSpec("const", 1.0))
 
 
 def test_enumeration_bound_is_enforced():
@@ -198,7 +198,7 @@ def test_enumeration_bound_is_enforced():
             cost, alloc,
             tuple(float(i + 1) for i in range(7)),
             (0,) * 7, (0,) * 7,
-            ServiceSpec.constant(1.0),
+            ServiceSpec("const", 1.0),
         )
 
 
