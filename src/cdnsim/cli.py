@@ -15,6 +15,8 @@ error messages and family table.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -299,6 +301,11 @@ def _main_simulate(argv) -> int:
     sweep = SweepSpec(strategy=kind, params=params, cache_sizes=cache_sizes, n_runs=args.runs)
 
     matrix = load_cost_matrix(args.cost_matrix) if args.cost_matrix else None
+
+    # --out is opened only after the sweep, so that an error on the way
+    # leaves no CSV; a missing directory fails before any run instead.
+    if not os.path.isdir(os.path.dirname(args.out) or os.curdir):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
 
     results = run_sweep(cfg, sweep, workers=args.workers, cost_matrix=matrix,
                         fixed_topology=args.fixed_topology,

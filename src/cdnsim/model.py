@@ -3,16 +3,24 @@
 Everything in here is a plain immutable value object. Construction does
 structural checks only; validate_config checks the model invariants
 (sizes, cache geometry, rates, horizon) in one place with distinct,
-testable error types. Each value type has one constructor, which
-converts what it is given: CostMatrix makes its rows floats and
-CacheAllocation makes each server's files a frozenset. Whether a
-configuration is stable depends on the strategy and on the drawn
-layout and placement, so no check of it is made up front: each run
-reports signs of overload on its RunResult.
+testable error types. Each value type has one public constructor,
+which converts what it is given: CostMatrix makes its rows floats and
+CacheAllocation makes each server's files a frozenset. CostMatrix has
+two ways in. CostMatrix(rows) converts and checks every entry, and is
+the way for every matrix from outside the Manhattan builder: loaded
+files, injected matrices, the oracle's instances. The private
+CostMatrix._of_sums is the builder's way: its rows are float sums of
+distance rows the builder made itself, so they are taken as given and
+the entry rule is checked on the few distance rows (about 40 at the
+default lattice side) instead of on 10,000 sums, the largest part of a
+run's set-up otherwise. Whether a configuration is stable depends on
+the strategy and on the drawn layout and placement, so no check of it
+is made up front: each run reports signs of overload on its RunResult.
 Each input rule lives here once: read_number reads every number from
 outside text, STRATEGY_PARAMS names each family's parameter,
-check_cache_geometry is shared by validate_config and placement, and
-check_cost_matrix by the run inputs and the sweep driver.
+check_cache_geometry is shared by validate_config and placement,
+check_cost_matrix by the run inputs and the sweep driver, and the cost
+entry rule, _check_cost_row, by both ways into CostMatrix.
 """
 
 from __future__ import annotations
@@ -235,6 +243,17 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     return cfg
 
 
+def _check_cost_row(row, name: str) -> None:
+    """The entry rule of a cost matrix: raise ConfigError unless every
+    entry of the non-empty float row is finite and >= 0, naming the first
+    bad one as name[k]. The row is scanned by C-level builtins and walked
+    only to name that entry."""
+    if not (all(map(math.isfinite, row)) and min(row) >= 0.0):
+        for k, c in enumerate(row):
+            if not (math.isfinite(c) and c >= 0.0):
+                raise ConfigError(f"{name}[{k}] must be finite and >= 0, got {c}")
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Per-(user, server) delivery cost; entries[i][k] is finite and >= 0."""
@@ -242,9 +261,8 @@ class CostMatrix:
     entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        # The one place entries are converted to float and checked; each
-        # row is scanned by C-level builtins and walked only to name the
-        # first bad entry.
+        # Rows from outside the program (files, callers, the oracle) are
+        # converted to float and every entry is checked.
         entries = tuple(tuple(map(float, row)) for row in self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries or not entries[0]:
@@ -253,10 +271,31 @@ class CostMatrix:
         for i, row in enumerate(entries):
             if len(row) != width:
                 raise ConfigError(f"cost matrix row {i} has length {len(row)}, expected {width}")
-            if not (all(map(math.isfinite, row)) and min(row) >= 0.0):
-                for k, c in enumerate(row):
-                    if not (math.isfinite(c) and c >= 0.0):
-                        raise ConfigError(f"cost[{i}][{k}] must be finite and >= 0, got {c}")
+            _check_cost_row(row, f"cost[{i}]")
+
+    @classmethod
+    def _of_sums(cls, rows, x_rows, y_rows) -> "CostMatrix":
+        """The matrix whose entries are rows, taken as given: a tuple of
+        equal-length float tuples, each the elementwise sum of one of the
+        distance rows x_rows and one of y_rows. The entry rule is checked
+        on the distance rows instead of the sums: when each is finite and
+        >= 0 and the largest x distance plus the largest y distance is
+        finite, every sum is too, as float addition is monotone."""
+        if not rows or not rows[0]:
+            raise ConfigError("cost matrix must be non-empty")
+        for axis, distances in (("x", x_rows), ("y", y_rows)):
+            for row in distances:
+                _check_cost_row(row, f"{axis} distance")
+        largest_x = max(map(max, x_rows))
+        largest_y = max(map(max, y_rows))
+        if not math.isfinite(largest_x + largest_y):
+            raise ConfigError(
+                f"cost may overflow: largest x distance {largest_x} "
+                f"plus largest y distance {largest_y} is not finite"
+            )
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "entries", rows)
+        return matrix
 
     @property
     def n_users(self) -> int:

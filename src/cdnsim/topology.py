@@ -52,20 +52,28 @@ def manhattan_cost_matrix(layout: LatticeLayout) -> CostMatrix:
     """Delivery cost = |dx| + |dy| between user and server positions.
 
     One row of float distances |ux - sx| over the servers is built per
-    distinct user x, one of |uy - sy| per distinct user y, and each user's
-    row is the sum of its two. The distances are small integers, so every
-    float sum is exact and equals float(|dx| + |dy|).
+    distinct user x, one of |uy - sy| per distinct user y, and one cost
+    row per distinct user cell, the elementwise sum of its two; users on
+    the same cell share that row. The distances are small integers, so
+    every float sum is exact and equals float(|dx| + |dy|). The rows go to
+    CostMatrix._of_sums, which checks the entry rule on the distance rows
+    and does not convert or walk the sums again.
     """
     server_xs = [float(x) for x, _ in layout.servers]
     server_ys = [float(y) for _, y in layout.servers]
     x_rows: dict[int, list[float]] = {}
     y_rows: dict[int, list[float]] = {}
-    for ux, uy in layout.users:
-        if ux not in x_rows:
-            x_rows[ux] = [abs(ux - sx) for sx in server_xs]
-        if uy not in y_rows:
-            y_rows[uy] = [abs(uy - sy) for sy in server_ys]
-    return CostMatrix(tuple(map(add, x_rows[ux], y_rows[uy]) for ux, uy in layout.users))
+    cell_rows: dict[Point, tuple[float, ...]] = {}
+    for cell in layout.users:
+        if cell not in cell_rows:
+            ux, uy = cell
+            if ux not in x_rows:
+                x_rows[ux] = [abs(ux - sx) for sx in server_xs]
+            if uy not in y_rows:
+                y_rows[uy] = [abs(uy - sy) for sy in server_ys]
+            cell_rows[cell] = tuple(map(add, x_rows[ux], y_rows[uy]))
+    return CostMatrix._of_sums(tuple(map(cell_rows.__getitem__, layout.users)),
+                               x_rows.values(), y_rows.values())
 
 
 def load_cost_matrix(path) -> CostMatrix:

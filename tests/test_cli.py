@@ -261,6 +261,18 @@ def test_main_rejects_fewer_than_one_worker(tmp_path, capsys):
     assert not out.exists() and not trace.exists() and not placement.exists()
 
 
+def test_main_fails_before_any_run_when_the_out_directory_is_missing(
+        tmp_path, capsys, monkeypatch):
+    # The error is the one open() gives, and no trace or placement file is
+    # written, because the sweep does not start.
+    monkeypatch.chdir(tmp_path)
+    assert main(["--strategy", "mincost", "--runs", "1", "--events", "500",
+                 "--trace", "t.csv", "--dump-placement", "p.txt", "--out", "nodir/o.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "simulate: error: [Errno 2] No such file or directory: 'nodir/o.csv'\n")
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_main_workers_flag_does_not_change_output(tmp_path):
     cfg_path = tmp_path / "sim.cfg"
     _write_small_config(cfg_path)

@@ -1,6 +1,8 @@
 """Config validation, strategy specs, and config-file parsing."""
 
 import math
+import re
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -198,6 +200,28 @@ def test_cost_matrix_names_the_first_bad_entry(bad):
     with pytest.raises(ConfigError) as excinfo:
         CostMatrix(rows)
     assert str(excinfo.value) == f"cost[1][2] must be finite and >= 0, got {bad}"
+
+
+def test_cost_matrix_of_sums_checks_the_distance_rows():
+    # The Manhattan builder's path takes its sums as given and checks the
+    # entry rule on the x and y distance rows they are summed from.
+    def of_sums(x_row, y_row):
+        return CostMatrix._of_sums((tuple(map(add, x_row, y_row)),), [x_row], [y_row])
+
+    assert of_sums([0.0, 2.0], [1.0, 0.0]) == CostMatrix([[1.0, 2.0]])
+    nan, inf = float("nan"), float("inf")
+    for x_row, y_row, message in [
+        ([0.0, nan], [1.0, 0.0], "x distance[1] must be finite and >= 0, got nan"),
+        # Every sum is >= 0, but a distance below 0 still breaks the rule.
+        ([2.0, 3.0], [1.0, -1.0], "y distance[1] must be finite and >= 0, got -1.0"),
+        ([inf, 0.0], [1.0, 0.0], "x distance[0] must be finite and >= 0, got inf"),
+        ([1e308, 0.0], [1.5e308, 0.0], "cost may overflow: largest x distance 1e+308 "
+                                       "plus largest y distance 1.5e+308 is not finite"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            of_sums(x_row, y_row)
+    with pytest.raises(ConfigError, match="^cost matrix must be non-empty$"):
+        CostMatrix._of_sums(((),), [[]], [[]])
 
 
 def test_cache_allocation_validation():

@@ -116,12 +116,28 @@ def _layout_cases():
 
 @pytest.mark.parametrize("name, layout", _layout_cases())
 def test_manhattan_matrix_equals_per_entry_distances(name, layout):
-    entries = manhattan_cost_matrix(layout).entries
+    matrix = manhattan_cost_matrix(layout)
+    entries = matrix.entries
     assert entries == tuple(
         tuple(float(abs(ux - sx) + abs(uy - sy)) for sx, sy in layout.servers)
         for ux, uy in layout.users
     )
     assert all(type(c) is float for row in entries for c in row)
+    # The full conversion and check accept the builder's rows as they are.
+    assert CostMatrix(entries) == matrix
+    # Users on one cell share one row.
+    row_of_cell = {}
+    for cell, row in zip(layout.users, entries):
+        assert row_of_cell.setdefault(cell, row) is row
+    if name in ("side1", "colliding"):
+        assert len(row_of_cell) < len(layout.users)
+
+
+def test_manhattan_matrix_rejects_a_cost_that_overflows():
+    far = 15 * 10**307
+    layout = LatticeLayout(2 * far, users=((0, 0),), servers=((far, far),))
+    with pytest.raises(ConfigError, match="^cost may overflow: largest x distance 1.5e"):
+        manhattan_cost_matrix(layout)
 
 
 def test_cost_matrix_roundtrip(tmp_path):
