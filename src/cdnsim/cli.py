@@ -303,9 +303,12 @@ def _main_simulate(argv) -> int:
     matrix = load_cost_matrix(args.cost_matrix) if args.cost_matrix else None
 
     # --out is opened only after the sweep, so that an error on the way
-    # leaves no CSV; a missing directory fails before any run instead.
+    # leaves no CSV; a missing directory, or an --out that is a directory,
+    # fails before any run instead, with the error open would give.
     if not os.path.isdir(os.path.dirname(args.out) or os.curdir):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+    if os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
 
     results = run_sweep(cfg, sweep, workers=args.workers, cost_matrix=matrix,
                         fixed_topology=args.fixed_topology,

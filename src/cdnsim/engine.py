@@ -43,6 +43,7 @@ from .model import (
     SimConfig,
     StrategySpec,
     check_cost_matrix,
+    seq_sum,
     validate_config,
 )
 from .popularity import candidate_table, proportional_placement, zipf_profile
@@ -278,7 +279,7 @@ def run_simulation(
     # Jobs in system integrated over the window: every counted sojourn lies
     # inside it, and a carried warmup job counts until it departs or the
     # window ends.
-    area = sum_wait + sum(min(d, t_meas_end) - t_meas_start for d in carried)
+    area = sum_wait + seq_sum(min(d, t_meas_end) - t_meas_start for d in carried)
     span = t_meas_end - t_meas_start
     avg_jobs = area / (span * n_servers) if span > 0.0 else 0.0
     n_early = n_counted // 2

@@ -19,14 +19,19 @@ is made up front: each run reports signs of overload on its RunResult.
 Each input rule lives here once: read_number reads every number from
 outside text, STRATEGY_PARAMS names each family's parameter,
 check_cache_geometry is shared by validate_config and placement,
+check_lattice_side by validate_config and the lattice layouts,
+check_zipf_beta by validate_config and the Zipf profile,
 check_cost_matrix by the run inputs and the sweep driver, and the cost
-entry rule, _check_cost_row, by both ways into CostMatrix.
+entry rule, _check_cost_row, by both ways into CostMatrix. seq_sum is the
+one float sum whose result feeds an output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 
 
 class ConfigError(ValueError):
@@ -50,6 +55,14 @@ class HorizonError(ConfigError):
 
 
 _MAX_SEED = 2**64
+
+
+def seq_sum(values) -> float:
+    """The left-to-right float sum of values, starting from 0.0. sum()
+    compensates its rounding on Python 3.12 and later; this one rounds
+    the same on every version, so every output that a float sum feeds
+    keeps its bytes across versions."""
+    return reduce(add, values, 0.0)
 
 
 def read_number(text: str, where: str, kind: type = float):
@@ -202,6 +215,18 @@ def check_cache_geometry(n_servers: int, n_files: int, cache_size: int) -> None:
         )
 
 
+def check_lattice_side(side: int) -> None:
+    """Raise ConfigError unless a lattice has at least one cell a side."""
+    if side < 1:
+        raise ConfigError(f"lattice side must be >= 1, got {side}")
+
+
+def check_zipf_beta(beta: float) -> None:
+    """Raise ConfigError unless the Zipf exponent is finite and >= 0."""
+    if not (0.0 <= beta and math.isfinite(beta)):
+        raise ConfigError(f"zipf_beta must be a finite value >= 0, got {beta}")
+
+
 def check_cost_matrix(cost_matrix: CostMatrix, cfg: SimConfig) -> None:
     """Raise ConfigError unless cost_matrix is cfg's n_users x n_servers."""
     if (cost_matrix.n_users, cost_matrix.n_servers) != (cfg.n_users, cfg.n_servers):
@@ -225,8 +250,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             raise RateError(f"arrival rate for user {i} must be > 0, got {rate}")
     if not (cfg.service.value > 0.0 and math.isfinite(cfg.service.value)):
         raise RateError(f"service parameter must be > 0, got {cfg.service.value}")
-    if not (0.0 <= cfg.zipf_beta and math.isfinite(cfg.zipf_beta)):
-        raise ConfigError(f"zipf_beta must be a finite value >= 0, got {cfg.zipf_beta}")
+    check_zipf_beta(cfg.zipf_beta)
     if cfg.horizon_events < 1:
         raise ConfigError("horizon_events must be >= 1")
     if cfg.warmup_events < 0:
@@ -236,8 +260,10 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             f"warmup_events {cfg.warmup_events} leaves no counted arrivals out of "
             f"{cfg.horizon_events}"
         )
-    if cfg.lattice_side < 1:
-        raise ConfigError("lattice_side must be >= 1")
+    check_lattice_side(cfg.lattice_side)
+    # Up to this side every lattice distance, and every sum of two, is an exact float.
+    if cfg.lattice_side > 2**52:
+        raise ConfigError(f"lattice_side must be <= 2**52, got {cfg.lattice_side}")
     if not 0 <= cfg.base_seed < _MAX_SEED:
         raise ConfigError("base_seed must fit in an unsigned 64-bit integer")
     return cfg

@@ -6,11 +6,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from random import Random
 
 from .draws import sample, sample_plan
-from .model import CacheAllocation, ConfigError, check_cache_geometry
+from .model import CacheAllocation, ConfigError, check_cache_geometry, check_zipf_beta, seq_sum
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,8 @@ class PopularityProfile:
     def __post_init__(self) -> None:
         if not self.probs:
             raise ConfigError("popularity profile must cover at least one file")
-        total = sum(self.probs)
-        if abs(total - 1.0) > 1e-9:
+        total = seq_sum(self.probs)
+        if not abs(total - 1.0) <= 1e-9:  # a non-finite sum fails too
             raise ConfigError(f"popularity profile sums to {total}, expected 1")
 
     @property
@@ -32,11 +32,7 @@ class PopularityProfile:
 
     def cumulative(self) -> list[float]:
         """Running sums for inverse-transform sampling; last entry forced to 1."""
-        cum = []
-        acc = 0.0
-        for p in self.probs:
-            acc += p
-            cum.append(acc)
+        cum = list(accumulate(self.probs))
         cum[-1] = 1.0
         return cum
 
@@ -46,12 +42,9 @@ def zipf_profile(n_files: int, beta: float) -> PopularityProfile:
     """Power-law popularity: file rank i gets weight 1 / (i+1)^beta,
     normalized over the whole library. beta = 0 is uniform. The profile
     is a frozen value, so each (n_files, beta) is built once per process."""
-    if n_files < 1:
-        raise ConfigError("n_files must be >= 1")
-    if beta < 0:
-        raise ConfigError(f"beta must be >= 0, got {beta}")
+    check_zipf_beta(beta)
     weights = [(i + 1) ** -beta for i in range(n_files)]
-    total = sum(weights)
+    total = seq_sum(weights)
     return PopularityProfile(tuple(w / total for w in weights))
 
 
@@ -69,7 +62,7 @@ def _cache_sampler(weights: list[float], cache_size: int, rng: Random):
     def weighted() -> list[int]:
         live = list(range(n))
         pool = list(weights)
-        total = sum(pool)
+        total = seq_sum(pool)
         picked = []
         for _ in range(cache_size):
             x = rng.random() * total

@@ -51,7 +51,7 @@ from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .draws import sample as _sample_ties, sample_plan
-from .model import STRATEGY_PARAMS, StrategySpec
+from .model import STRATEGY_PARAMS, StrategySpec, seq_sum
 
 
 class MappingDecision(NamedTuple):
@@ -134,11 +134,8 @@ def _argmin_set(candidates: Sequence[int], values) -> list[int]:
 
 def _shares(candidates: Sequence[int], costs, cost_weight: float) -> tuple[float, ...]:
     # Each candidate's weighted cost share, in candidate order; all 0.0 when
-    # the candidate costs sum to zero. The total is a sequential float sum:
-    # sum() compensates its rounding on Python 3.12 and later.
-    cost_total = 0.0
-    for k in candidates:
-        cost_total += costs[k]
+    # the candidate costs sum to zero.
+    cost_total = seq_sum(map(costs.__getitem__, candidates))
     if cost_total > 0.0:
         return tuple([cost_weight * (costs[k] / cost_total) for k in candidates])
     return (0.0,) * len(candidates)
@@ -318,8 +315,8 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
             if len(ties) > 1:
                 ties.sort()
             row = file_rows[file_index] or file_row(file_index, len(candidates))
-            j = int(random() * len(ties))
-            return row[candidates[ties[j] if j < len(ties) else ties[-1]]]
+            # random() <= 1 - 2**-53, so int(random() * n) < n for n <= 2**53.
+            return row[candidates[ties[int(random() * len(ties))]]]
 
     else:
         getrandbits = rng.getrandbits
@@ -348,7 +345,7 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
                 elif q == best:
                     ties.append(k)
             row = file_rows[file_index] or file_row(file_index, len(probed))
-            j = int(random() * len(ties))
-            return row[ties[j] if j < len(ties) else ties[-1]]
+            # random() <= 1 - 2**-53, so int(random() * n) < n for n <= 2**53.
+            return row[ties[int(random() * len(ties))]]
 
     return decide

@@ -8,7 +8,7 @@ from operator import add
 from random import Random
 
 from .draws import below
-from .model import ConfigError, CostMatrix, read_number
+from .model import ConfigError, CostMatrix, check_lattice_side, read_number
 
 Point = tuple[int, int]
 
@@ -25,8 +25,7 @@ class LatticeLayout:
         # Each coordinate column is scanned by min and max, and the points
         # are walked only to name the first one off the grid.
         side = self.side
-        if side < 1:
-            raise ConfigError("lattice side must be >= 1")
+        check_lattice_side(side)
         for label, pts in (("user", self.users), ("server", self.servers)):
             if not pts:
                 continue
@@ -40,8 +39,7 @@ class LatticeLayout:
 
 def random_lattice_layout(n_users: int, n_servers: int, side: int, rng: Random) -> LatticeLayout:
     """Drop every node independently and uniformly on a side x side grid."""
-    if side < 1:
-        raise ConfigError("lattice side must be >= 1")
+    check_lattice_side(side)
     # Random.randint(0, side - 1) for x then y, users first, then servers.
     coords = iter(below(side, 2 * (n_users + n_servers), rng.getrandbits))
     points = tuple(zip(coords, coords))

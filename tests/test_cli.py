@@ -273,6 +273,28 @@ def test_main_fails_before_any_run_when_the_out_directory_is_missing(
     assert sorted(tmp_path.iterdir()) == []
 
 
+def test_main_fails_before_any_run_when_out_is_a_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    assert main(["--strategy", "mincost", "--runs", "1", "--events", "100",
+                 "--trace", "t.csv", "--dump-placement", "p.txt", "--out", "adir"]) == 2
+    assert capsys.readouterr().err == "simulate: error: [Errno 21] Is a directory: 'adir'\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "adir"]
+    assert sorted((tmp_path / "adir").iterdir()) == []
+
+
+def test_main_rejects_a_lattice_side_too_large_for_exact_distances(tmp_path, capsys):
+    cfg_path = tmp_path / "big.cfg"
+    cfg_path.write_text("lattice_side = " + "9" * 401 + "\n", encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert main(["--config", str(cfg_path), "--strategy", "mincost", "--runs", "1",
+                 "--events", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("simulate: error: lattice_side must be <= 2**52, got 999")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_main_workers_flag_does_not_change_output(tmp_path):
     cfg_path = tmp_path / "sim.cfg"
     _write_small_config(cfg_path)

@@ -1,4 +1,5 @@
-"""Config validation, strategy specs, and config-file parsing."""
+"""Config validation, strategy specs, config-file parsing, and the input
+and float-sum rules that model keeps for the other modules."""
 
 import math
 import re
@@ -22,9 +23,12 @@ from cdnsim.model import (
     default_config,
     parse_config,
     read_number,
+    seq_sum,
     strategy_param,
     validate_config,
 )
+from cdnsim.popularity import zipf_profile
+from cdnsim.topology import LatticeLayout, random_lattice_layout
 
 
 def make_config(**overrides):
@@ -336,3 +340,45 @@ def test_config_objects_are_immutable():
     spec = StrategySpec.parse("pss:0.5")
     with pytest.raises(Exception):
         spec.param = 0.9
+
+
+# The tests below need no scipy, so they run on every Python version the
+# suite supports, where sum()'s rounding differs.
+
+def test_seq_sum_adds_left_to_right():
+    # fsum, and sum() on Python 3.12 and later, give 1.0 here.
+    assert seq_sum([1e16, 1.0, -1e16]) == 0.0
+    assert seq_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert seq_sum([]) == 0.0
+
+
+def test_zipf_profile_has_the_same_bits_on_every_python_version():
+    # sum() on Python 3.12 and 3.13 gave 0x1.198e7752d8e4ap-3, 2 ulp off.
+    assert zipf_profile(70, 0.8).probs[0].hex() == "0x1.198e7752d8e4cp-3"
+
+
+@pytest.mark.parametrize("beta", [-0.5, math.inf, math.nan])
+def test_zipf_exponent_rule_is_shared_by_config_and_profile(beta):
+    message = f"^zipf_beta must be a finite value >= 0, got {beta}$"
+    with pytest.raises(ConfigError, match=message):
+        make_config(zipf_beta=beta)
+    with pytest.raises(ConfigError, match=message):
+        zipf_profile(70, beta)
+
+
+def test_lattice_side_rule_is_shared_by_config_and_layouts():
+    message = "^lattice side must be >= 1, got 0$"
+    with pytest.raises(ConfigError, match=message):
+        make_config(lattice_side=0)
+    with pytest.raises(ConfigError, match=message):
+        LatticeLayout(0, (), ())
+    with pytest.raises(ConfigError, match=message):
+        random_lattice_layout(2, 2, 0, None)
+
+
+def test_config_lattice_side_is_bounded_where_distances_stay_exact():
+    # Up to 2**52 every distance and every sum of two is an exact float.
+    assert make_config(lattice_side=2**52).lattice_side == 2**52
+    side = 2**52 + 1
+    with pytest.raises(ConfigError, match=rf"^lattice_side must be <= 2\*\*52, got {side}$"):
+        make_config(lattice_side=side)

@@ -99,6 +99,8 @@ def test_popularity_profile_rejects_non_distribution():
         PopularityProfile((0.5, 0.2))
     with pytest.raises(ConfigError):
         PopularityProfile(())
+    with pytest.raises(ConfigError, match="^popularity profile sums to nan, expected 1$"):
+        PopularityProfile((0.5, float("nan"), 0.5))
 
 
 def test_placement_covers_and_fills_exactly():

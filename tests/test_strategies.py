@@ -26,6 +26,14 @@ def _decide(kind, param, candidates, costs, queues, rng):
     return _bind(kind, param, candidates, costs, rng)(0, 0, queues)
 
 
+def test_a_scaled_uniform_draw_stays_below_its_count():
+    # The wmc and mcs closures pick ties[int(random() * len(ties))] unguarded:
+    # random() is at most 1 - 2**-53, and that times n truncates below n.
+    top = 1.0 - 2.0**-53
+    assert all(int(top * n) < n for n in range(1, 10**4 + 1))
+    assert all(int(top * 2**e) < 2**e for e in range(54))
+
+
 def test_min_cost_picks_cheapest_and_never_queries():
     rng = Random(0)
     decision = _decide("mincost", None, (0, 1, 2), (4.0, 1.0, 9.0), (0, 0, 0), rng)
