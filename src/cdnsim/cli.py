@@ -7,9 +7,10 @@ point in the sweep's order: cache sizes ascending, parameters ascending
 within each. Every call goes through one driver, run_sweep; a --trace
 or --dump-placement file is an output of a one-run sweep's run. Reruns
 with identical flags produce byte-identical CSV files regardless of
---workers, which starts at most one process per run. Numbers in flags are read by model.read_number and sweep names
-come from model.STRATEGY_PARAMS, so the CLI shares the config file's
-error messages and family table.
+--workers, which starts at most one process per run. Numbers in flags
+are read by model.read_number and sweep names come from
+model.STRATEGY_PARAMS, so the CLI shares the config file's error
+messages and family table.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ def run_sweep(
 
 
 def _fmt(x: float) -> str:
-    return format(x, ".6g")
+    # -0.0 is falsy, so it prints as 0, the same as the 0.0 it equals.
+    return format(x or 0.0, ".6g")
 
 
 def format_csv(results) -> str:
@@ -206,10 +208,9 @@ def _parse_sweep_values(text: str, family: str) -> tuple[float, ...]:
     body = text.strip()
     name, sep, rest = body.partition(":")
     if sep and not name.replace(".", "").replace("-", "").isdigit():
+        # A parameterless family is rejected by SweepSpec.
         takes = strategy_param(family)
-        if takes is None:
-            raise ConfigError(f"{family} takes no sweep parameter")
-        if name.strip().lower() != takes[0]:
+        if takes is not None and name.strip().lower() != takes[0]:
             raise ConfigError(
                 f"sweep parameter {name.strip()!r} does not belong to {family} "
                 f"(expected {takes[0]})"

@@ -47,7 +47,8 @@ class CacheSizeError(ConfigError):
 
 
 class RateError(ConfigError):
-    """An arrival rate or service parameter is not strictly positive."""
+    """An arrival rate or service parameter is not strictly positive and
+    finite, or the arrival rates have no finite total."""
 
 
 class HorizonError(ConfigError):
@@ -248,6 +249,10 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     for i, rate in enumerate(cfg.arrival_rates):
         if not (rate > 0.0 and math.isfinite(rate)):
             raise RateError(f"arrival rate for user {i} must be > 0, got {rate}")
+    # The engine draws the requesting user from this running total.
+    total = seq_sum(cfg.arrival_rates)
+    if not math.isfinite(total):
+        raise RateError(f"arrival rates must have a finite total, got {total}")
     if not (cfg.service.value > 0.0 and math.isfinite(cfg.service.value)):
         raise RateError(f"service parameter must be > 0, got {cfg.service.value}")
     check_zipf_beta(cfg.zipf_beta)

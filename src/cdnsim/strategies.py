@@ -21,6 +21,12 @@ where the queue q is (q/Q is strictly increasing in integer q below
 score is its share: wmc:1's cheapest branch picks from the min-share set
 of each (user, memo slot), and still reports len(candidates) queries.
 
+One least-value scan, _argmin_set, lists the candidates at the minimum,
+in candidate order, for every argmin-set choice: the switch rule's queue
+branch on a partial candidate set, the probe rule over its probed
+servers, and the switch memo's cost-argmin set (or min-share set). The
+weighted rule's scan over scores stops early and keeps its own loop.
+
 Randomness discipline: every decision consumes exactly one uniform from
 the stream for its final pick (argmin ties are broken uniformly; with a
 unique argmin the draw is still burned). The switch rule reuses its
@@ -226,24 +232,20 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
         row = file_rows[file_index] = decisions(count)
         return row
 
-    def cost_ties(user: int, file_index: int) -> tuple[MappingDecision, ...]:
-        # Switch memo entry: the cost-argmin set, as decisions.
-        zero = decisions(0)
-        ties = _argmin_set(candidates_by_file[file_index], cost_rows[user])
-        return tuple([zero[k] for k in ties])
-
-    def share_ties(user: int, file_index: int) -> tuple[MappingDecision, ...]:
-        # Switch memo entry by share: the min-share set at cost weight 1, in
-        # candidate order, as decisions that count a query per candidate.
+    def switch_ties(user: int, file_index: int) -> tuple[MappingDecision, ...]:
+        # Switch memo entry: the cost-argmin set as decisions that count no
+        # query or, by share, the min-share set at cost weight 1 as decisions
+        # that count a query per candidate.
         candidates = candidates_by_file[file_index]
-        shares = _shares(candidates, cost_rows[user], 1.0)
-        best = min(shares)
-        row = decisions(len(candidates))
-        return tuple([row[k] for k, share in zip(candidates, shares) if share == best])
+        if by_share:
+            row = decisions(len(candidates))
+            values = dict(zip(candidates, _shares(candidates, cost_rows[user], 1.0)))
+        else:
+            row, values = decisions(0), cost_rows[user]
+        return tuple([row[k] for k in _argmin_set(candidates, values)])
 
     if rule == "switch":
         switch = param
-        fill = share_ties if by_share else cost_ties
         buckets = None if queue_index is None else queue_index.buckets
 
         def decide(user: int, file_index: int, queues) -> MappingDecision:
@@ -258,20 +260,14 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
                 if slot[file_index] == full:
                     ties = buckets[queue_index.lowest]
                 else:
-                    best = math.inf
-                    for k in candidates:
-                        q = queues[k]
-                        if q < best:
-                            best, ties = q, [k]
-                        elif q == best:
-                            ties.append(k)
+                    ties = _argmin_set(candidates, queues)
                 row = file_rows[file_index] or file_row(file_index, len(candidates))
                 j = int(x / switch * len(ties))
                 return row[ties[j] if j < len(ties) else ties[-1]]
             s = slot[file_index]
             ties = memo[user][s]
             if ties is None:
-                ties = memo[user][s] = fill(user, file_index)
+                ties = memo[user][s] = switch_ties(user, file_index)
             # switch < 1 here: at 1, x < 1 always takes the queue branch.
             j = int((x - switch) / (1.0 - switch) * len(ties))
             return ties[j] if j < len(ties) else ties[-1]
@@ -337,13 +333,7 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
                 probed.sort()
             else:
                 probed = base
-            best = math.inf
-            for k in probed:
-                q = queues[k]
-                if q < best:
-                    best, ties = q, [k]
-                elif q == best:
-                    ties.append(k)
+            ties = _argmin_set(probed, queues)
             row = file_rows[file_index] or file_row(file_index, len(probed))
             # random() <= 1 - 2**-53, so int(random() * n) < n for n <= 2**53.
             return row[ties[int(random() * len(ties))]]

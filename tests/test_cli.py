@@ -178,6 +178,22 @@ def test_format_csv_pins_layout_and_precision():
     assert format_csv(rows[::-1]).splitlines() == [lines[0], lines[2], lines[1]]
 
 
+def test_main_prints_a_negative_zero_as_zero(tmp_path):
+    # A sweep value, a strategy parameter and a Zipf exponent of -0 each
+    # give the same row as 0, which they equal.
+    def row(*argv, beta="0.0"):
+        cfg_path = tmp_path / "beta.cfg"
+        cfg_path.write_text(f"zipf_beta = {beta}\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["--config", str(cfg_path), *argv, "--cache-sizes", "8", "--runs", "1",
+                     "--events", "300", "--warmup", "30", "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert row("--strategy", "pss", "--sweep", "-0") == row("--strategy", "pss", "--sweep", "0")
+    assert row("--strategy", "wmc:-0") == row("--strategy", "wmc:0")
+    assert row("--strategy", "mincost", beta="-0.0") == row("--strategy", "mincost")
+
+
 def test_sweep_value_parsing():
     assert _parse_sweep_values("0,0.5,1", "pss") == (0.0, 0.5, 1.0)
     assert _parse_sweep_values("zeta:0.25,0.75", "pss") == (0.25, 0.75)
@@ -292,6 +308,17 @@ def test_main_rejects_a_lattice_side_too_large_for_exact_distances(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("simulate: error: lattice_side must be <= 2**52, got 999")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_main_rejects_arrival_rates_whose_total_overflows(tmp_path, capsys):
+    cfg_path = tmp_path / "fast.cfg"
+    cfg_path.write_text("arrival_rate = 1e308\n", encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert main(["--config", str(cfg_path), "--strategy", "mincost", "--runs", "1",
+                 "--events", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "simulate: error: arrival rates must have a finite total, got inf\n"
     assert not out.exists()
 
 

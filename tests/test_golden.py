@@ -3,9 +3,9 @@
 Short sweeps of the pss, wmc and mcs trade-off grids at M = 2, 8 and 70
 (2 runs of 2,000 arrivals per point), one of them also with
 --fixed-topology; 500-arrival traces of single runs that read the
-engine's queue state at full replication, the memo on partial
-replication, wmc's endpoint twins, mincost and pss:0, and mcs's tie
-sampling;
+engine's queue state at full replication, the memo and pss's queue
+scan on partial replication, wmc's endpoint twins, mincost and pss:0,
+and mcs's tie sampling;
 --dump-placement files at M = 2, 8 and 70, drawn per run and from a
 fixed topology; and the replayed policy values that `simulate
 oracle-check` prints. A change that alters any layout, placement,
@@ -33,12 +33,13 @@ SWEEPS = {
     "mcs": "1,2,3,4,8,12,16",
 }
 # At M=70 every file is on every server, so these read the queue index,
-# or at wmc:0.5 the departure heap's length.
+# or at wmc:0.5 the departure heap's length; at M=8 pss:0.5 scans queues.
 # mincost, pss:0 and wmc:1 take pss's switch rule at switch probability 0.
 TRACES = {
     "wmc0_M70": ("wmc:0", 70),
     "wmc0.5_M70": ("wmc:0.5", 70),
     "pss0.5_M70": ("pss:0.5", 70),
+    "pss0.5_M8": ("pss:0.5", 8),
     "wmc1_M8": ("wmc:1", 8),
     "wmc1_M70": ("wmc:1", 70),
     "wmc0.5_M8": ("wmc:0.5", 8),

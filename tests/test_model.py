@@ -3,11 +3,13 @@ and float-sum rules that model keeps for the other modules."""
 
 import math
 import re
+from dataclasses import replace
 from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cdnsim.engine import run_simulation
 from cdnsim.model import (
     STRATEGY_PARAMS,
     AggregateMemoryError,
@@ -65,6 +67,17 @@ def test_nonpositive_rates_are_rate_errors():
     # wrong vector length is also a rate problem
     with pytest.raises(RateError):
         make_config(arrival_rates=(0.9, 0.9))
+
+
+def test_arrival_rates_whose_total_overflows_are_rate_errors():
+    # Each rate is finite; their left-to-right total is not.
+    rates = (1e308,) * 100
+    with pytest.raises(RateError, match=r"^arrival rates must have a finite total, got inf$"):
+        make_config(arrival_rates=rates)
+    with pytest.raises(RateError, match="finite total"):
+        run_simulation(replace(make_config(horizon_events=100), arrival_rates=rates),
+                       "mincost", 1)
+    assert make_config(arrival_rates=(8e307, 8e307) + (0.9,) * 98).arrival_rates[0] == 8e307
 
 
 def test_warmup_must_leave_counted_events():
