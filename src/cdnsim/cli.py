@@ -36,7 +36,6 @@ from .model import (
     load_config,
     read_number,
     strategy_param,
-    validate_config,
 )
 from .topology import load_cost_matrix
 
@@ -107,9 +106,7 @@ def _sweep_runs(cfg: SimConfig, sweep: SweepSpec, cost_matrix, fixed_topology: b
     setups = []
     for m, param in sweep.points():
         try:
-            setups.append(
-                (validate_config(replace(cfg, cache_size=m)), StrategySpec(sweep.strategy, param))
-            )
+            setups.append((replace(cfg, cache_size=m), StrategySpec(sweep.strategy, param)))
         except ConfigError as err:
             raise ConfigError(f"sweep point M={m} param={param}: {err}") from err
     placements = {}
@@ -267,9 +264,7 @@ def _main_simulate(argv) -> int:
         cfg, cfg_strategy = default_config(), None
 
     flags = {"warmup_events": args.warmup, "horizon_events": args.events, "base_seed": args.seed}
-    overrides = {key: value for key, value in flags.items() if value is not None}
-    if overrides:
-        cfg = validate_config(replace(cfg, **overrides))
+    cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
 
     strategy = None
     if args.strategy:

@@ -44,7 +44,6 @@ from .model import (
     StrategySpec,
     check_cost_matrix,
     seq_sum,
-    validate_config,
 )
 from .popularity import candidate_table, proportional_placement, zipf_profile
 from .strategies import bind_strategy, queue_index
@@ -92,7 +91,7 @@ def _trace_hook(trace, decision_hook):
 
 def run_inputs(cfg: SimConfig, layout_rng: Random, placement_rng: Random, *,
                cost_matrix=None, allocation=None):
-    """The (cost_matrix, allocation) pair of a validated cfg.
+    """The (cost_matrix, allocation) pair of cfg.
 
     A piece not given is drawn: the lattice layout and its Manhattan cost
     matrix from layout_rng, the placement of cfg's Zipf profile from
@@ -146,7 +145,6 @@ def run_simulation(
     one text line per arrival from that same call, before decision_hook:
     time,user,file,server,queue_len_seen,queries.
     """
-    validate_config(cfg)
     if isinstance(strategy, str):
         strategy = StrategySpec.parse(strategy)
 
@@ -181,7 +179,8 @@ def run_simulation(
     hook = decision_hook if trace is None else _trace_hook(trace, decision_hook)
 
     # Neither bisect below can return len(cum): random() <= 1 - 2**-53, so
-    # u * total rounds below the last rate sum, and the last file's
+    # u * total rounds below the last rate sum while that sum lies above the
+    # smallest normal float, as SimConfig requires, and the last file's
     # cumulative probability is pinned to 1.0.
     cum_rates = list(accumulate(cfg.arrival_rates))
     total_rate = cum_rates[-1]

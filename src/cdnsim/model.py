@@ -1,34 +1,35 @@
 """Domain types and configuration validation for the request-mapping simulator.
 
-Everything in here is a plain immutable value object. Construction does
-structural checks only; validate_config checks the model invariants
-(sizes, cache geometry, rates, horizon) in one place with distinct,
-testable error types. Each value type has one public constructor,
-which converts what it is given: CostMatrix makes its rows floats and
-CacheAllocation makes each server's files a frozenset. CostMatrix has
-two ways in. CostMatrix(rows) converts and checks every entry, and is
-the way for every matrix from outside the Manhattan builder: loaded
-files, injected matrices, the oracle's instances. The private
-CostMatrix._of_sums is the builder's way: its rows are float sums of
-distance rows the builder made itself, so they are taken as given and
-the entry rule is checked on the few distance rows (about 40 at the
-default lattice side) instead of on 10,000 sums, the largest part of a
-run's set-up otherwise. Whether a configuration is stable depends on
-the strategy and on the drawn layout and placement, so no check of it
-is made up front: each run reports signs of overload on its RunResult.
-Each input rule lives here once: read_number reads every number from
-outside text, STRATEGY_PARAMS names each family's parameter,
-check_cache_geometry is shared by validate_config and placement,
-check_lattice_side by validate_config and the lattice layouts,
-check_zipf_beta by validate_config and the Zipf profile,
-check_cost_matrix by the run inputs and the sweep driver, and the cost
-entry rule, _check_cost_row, by both ways into CostMatrix. seq_sum is the
-one float sum whose result feeds an output.
+Everything in here is a plain immutable value object, and each value
+type checks its own rules when it is built, with distinct, testable
+error types: a SimConfig that constructs is valid, and so is every one
+dataclasses.replace derives from it. Each value type has one public
+constructor, which converts what it is given: CostMatrix makes its
+rows floats and CacheAllocation makes each server's files a frozenset.
+CostMatrix has two ways in. CostMatrix(rows) converts and checks every
+entry, and is the way for every matrix from outside the Manhattan
+builder: loaded files, injected matrices, the oracle's instances. The
+private CostMatrix._of_sums is the builder's way: its rows are float
+sums of distance rows the builder made itself, so they are taken as
+given and the entry rule is checked on the few distance rows (about 40
+at the default lattice side) instead of on 10,000 sums, the largest
+part of a run's set-up otherwise. Whether a configuration is stable
+depends on the strategy and on the drawn layout and placement, so no
+check of it is made up front: each run reports signs of overload on
+its RunResult. Each input rule lives here once: read_number reads
+every number from outside text, STRATEGY_PARAMS names each family's
+parameter, check_cache_geometry is shared by SimConfig and placement,
+check_lattice_side by SimConfig and the lattice layouts,
+check_zipf_beta by SimConfig and the Zipf profile, check_cost_matrix
+by the run inputs and the sweep driver, and the cost entry rule,
+_check_cost_row, by both ways into CostMatrix. seq_sum is the one
+float sum whose result feeds an output.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
@@ -48,7 +49,8 @@ class CacheSizeError(ConfigError):
 
 class RateError(ConfigError):
     """An arrival rate or service parameter is not strictly positive and
-    finite, or the arrival rates have no finite total."""
+    finite, or the arrival rates' total is not finite or not above the
+    smallest normal float."""
 
 
 class HorizonError(ConfigError):
@@ -91,6 +93,8 @@ class ServiceSpec:
         if self.kind not in ("exp", "const"):
             raise ConfigError(f"unknown service kind {self.kind!r}")
         object.__setattr__(self, "value", float(self.value))
+        if not (self.value > 0.0 and math.isfinite(self.value)):
+            raise RateError(f"service parameter must be > 0, got {self.value}")
 
     @classmethod
     def parse(cls, text: str) -> "ServiceSpec":
@@ -167,7 +171,9 @@ class SimConfig:
 
     arrival_rates has one entry per user; service applies to every
     server. horizon_events counts request arrivals, of which the first
-    warmup_events are excluded from all averages.
+    warmup_events are excluded from all averages. Construction, by
+    dataclasses.replace too, checks every rule of the model and raises
+    the ConfigError subclass that names the first one broken.
     """
 
     n_servers: int
@@ -184,6 +190,43 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arrival_rates", tuple(float(r) for r in self.arrival_rates))
+        if self.n_servers < 1 or self.n_users < 1 or self.n_files < 1:
+            raise ConfigError("n_servers, n_users and n_files must all be >= 1")
+        check_cache_geometry(self.n_servers, self.n_files, self.cache_size)
+        if len(self.arrival_rates) != self.n_users:
+            raise RateError(
+                f"got {len(self.arrival_rates)} arrival rates for {self.n_users} users"
+            )
+        for i, rate in enumerate(self.arrival_rates):
+            if not (rate > 0.0 and math.isfinite(rate)):
+                raise RateError(f"arrival rate for user {i} must be > 0, got {rate}")
+        # The engine draws the requesting user by bisecting u * total, with
+        # u <= 1 - 2**-53, into the running rate sums. Above the smallest
+        # normal float that product rounds below total, so the bisect always
+        # finds a user; at that float it rounds up to total, a tie to even.
+        total = seq_sum(self.arrival_rates)
+        if not math.isfinite(total):
+            raise RateError(f"arrival rates must have a finite total, got {total}")
+        if not total > sys.float_info.min:
+            raise RateError(
+                f"arrival rates must have a total above {sys.float_info.min}, got {total}"
+            )
+        check_zipf_beta(self.zipf_beta)
+        if self.horizon_events < 1:
+            raise ConfigError("horizon_events must be >= 1")
+        if self.warmup_events < 0:
+            raise ConfigError("warmup_events must be >= 0")
+        if self.warmup_events >= self.horizon_events:
+            raise HorizonError(
+                f"warmup_events {self.warmup_events} leaves no counted arrivals out of "
+                f"{self.horizon_events}"
+            )
+        check_lattice_side(self.lattice_side)
+        # Up to this side every lattice distance, and every sum of two, is an exact float.
+        if self.lattice_side > 2**52:
+            raise ConfigError(f"lattice_side must be <= 2**52, got {self.lattice_side}")
+        if not 0 <= self.base_seed < _MAX_SEED:
+            raise ConfigError("base_seed must fit in an unsigned 64-bit integer")
 
 
 def default_config(**overrides) -> SimConfig:
@@ -199,7 +242,7 @@ def default_config(**overrides) -> SimConfig:
     )
     base.update(overrides)
     base.setdefault("arrival_rates", (0.9,) * base["n_users"])
-    return validate_config(SimConfig(**base))
+    return SimConfig(**base)
 
 
 def check_cache_geometry(n_servers: int, n_files: int, cache_size: int) -> None:
@@ -235,43 +278,6 @@ def check_cost_matrix(cost_matrix: CostMatrix, cfg: SimConfig) -> None:
             f"cost matrix is {cost_matrix.n_users}x{cost_matrix.n_servers}, "
             f"config needs {cfg.n_users}x{cfg.n_servers}"
         )
-
-
-def validate_config(cfg: SimConfig) -> SimConfig:
-    """Check every model invariant; return cfg unchanged if all hold."""
-    if cfg.n_servers < 1 or cfg.n_users < 1 or cfg.n_files < 1:
-        raise ConfigError("n_servers, n_users and n_files must all be >= 1")
-    check_cache_geometry(cfg.n_servers, cfg.n_files, cfg.cache_size)
-    if len(cfg.arrival_rates) != cfg.n_users:
-        raise RateError(
-            f"got {len(cfg.arrival_rates)} arrival rates for {cfg.n_users} users"
-        )
-    for i, rate in enumerate(cfg.arrival_rates):
-        if not (rate > 0.0 and math.isfinite(rate)):
-            raise RateError(f"arrival rate for user {i} must be > 0, got {rate}")
-    # The engine draws the requesting user from this running total.
-    total = seq_sum(cfg.arrival_rates)
-    if not math.isfinite(total):
-        raise RateError(f"arrival rates must have a finite total, got {total}")
-    if not (cfg.service.value > 0.0 and math.isfinite(cfg.service.value)):
-        raise RateError(f"service parameter must be > 0, got {cfg.service.value}")
-    check_zipf_beta(cfg.zipf_beta)
-    if cfg.horizon_events < 1:
-        raise ConfigError("horizon_events must be >= 1")
-    if cfg.warmup_events < 0:
-        raise ConfigError("warmup_events must be >= 0")
-    if cfg.warmup_events >= cfg.horizon_events:
-        raise HorizonError(
-            f"warmup_events {cfg.warmup_events} leaves no counted arrivals out of "
-            f"{cfg.horizon_events}"
-        )
-    check_lattice_side(cfg.lattice_side)
-    # Up to this side every lattice distance, and every sum of two, is an exact float.
-    if cfg.lattice_side > 2**52:
-        raise ConfigError(f"lattice_side must be <= 2**52, got {cfg.lattice_side}")
-    if not 0 <= cfg.base_seed < _MAX_SEED:
-        raise ConfigError("base_seed must fit in an unsigned 64-bit integer")
-    return cfg
 
 
 def _check_cost_row(row, name: str) -> None:
@@ -476,7 +482,7 @@ def parse_config(text: str) -> tuple[SimConfig, StrategySpec | None]:
     shared_rate = fields.pop("arrival_rate", None)
     cfg = default_config(**fields)
     if shared_rate is not None:
-        cfg = validate_config(replace(cfg, arrival_rates=(shared_rate,) * cfg.n_users))
+        cfg = replace(cfg, arrival_rates=(shared_rate,) * cfg.n_users)
     return cfg, strategy
 
 

@@ -322,6 +322,18 @@ def test_main_rejects_arrival_rates_whose_total_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_rejects_arrival_rates_with_a_subnormal_total(tmp_path, capsys):
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text("arrival_rate = 5e-324\n", encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert main(["--config", str(cfg_path), "--strategy", "mincost", "--runs", "1",
+                 "--events", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("simulate: error: arrival rates must have a total above "
+                   "2.2250738585072014e-308, got 4.94e-322\n")
+    assert not out.exists()
+
+
 def test_main_workers_flag_does_not_change_output(tmp_path):
     cfg_path = tmp_path / "sim.cfg"
     _write_small_config(cfg_path)

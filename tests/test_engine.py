@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 from bisect import bisect_right
 from collections import deque
 from itertools import accumulate, product
@@ -113,6 +114,18 @@ def test_inverse_transform_draws_stay_in_range(rates, n_files, beta):
     cum_probs = zipf_profile(n_files, beta).cumulative()
     assert cum_probs[-1] == 1.0
     assert bisect_right(cum_probs, top) < len(cum_probs)
+
+
+def test_user_draw_stays_in_range_just_above_the_rate_total_floor():
+    # SimConfig requires the rate total to lie strictly above the smallest
+    # normal float: there the largest u * total rounds up to the total (a
+    # tie to even), and one ulp above it rounds below.
+    top = 1.0 - 2.0**-53
+    floor = sys.float_info.min
+    assert top * floor == floor
+    above = math.nextafter(floor, math.inf)
+    assert top * above < above
+    assert bisect_right([above], top * above) == 0
 
 
 def _single_queue_config(horizon, service="const:2.0", rate=0.5, warmup=0):

@@ -27,7 +27,6 @@ from cdnsim.model import (
     read_number,
     seq_sum,
     strategy_param,
-    validate_config,
 )
 from cdnsim.popularity import zipf_profile
 from cdnsim.topology import LatticeLayout, random_lattice_layout
@@ -44,7 +43,7 @@ def test_default_config_is_valid():
     assert cfg.n_files == 70
     assert cfg.arrival_rates == (0.9,) * 100
     assert cfg.service == ServiceSpec("exp", 1.0)
-    assert validate_config(cfg) is cfg
+    assert replace(cfg) == cfg
 
 
 def test_insufficient_total_memory_is_its_own_error():
@@ -78,6 +77,46 @@ def test_arrival_rates_whose_total_overflows_are_rate_errors():
         run_simulation(replace(make_config(horizon_events=100), arrival_rates=rates),
                        "mincost", 1)
     assert make_config(arrival_rates=(8e307, 8e307) + (0.9,) * 98).arrival_rates[0] == 8e307
+
+
+def test_subnormal_arrival_rate_totals_are_rate_errors():
+    # At or below the smallest normal float, u * total can round up to the
+    # total itself and the user draw would find no user.
+    for rates, total in (((5e-324,) * 100, "4.94e-322"),
+                         ((1e-310,) * 100, "9.99999999999997e-309")):
+        message = re.escape(f"arrival rates must have a total above 2.2250738585072014e-308, "
+                            f"got {total}")
+        with pytest.raises(RateError, match=f"^{message}$"):
+            run_simulation(default_config(arrival_rates=rates, horizon_events=2000,
+                                          warmup_events=10), "mincost", 1)
+        with pytest.raises(RateError, match=f"^{message}$"):
+            SimConfig(n_servers=1, n_users=100, n_files=1, cache_size=1, arrival_rates=rates,
+                      service=ServiceSpec("exp", 1.0), horizon_events=10)
+    assert make_config(arrival_rates=(1e-300,) * 100).arrival_rates[0] == 1e-300
+    # The bound is strict: a total of exactly the smallest normal float is refused.
+    floor = 2.2250738585072014e-308
+    one_user = dict(n_servers=1, n_users=1, n_files=1, cache_size=1,
+                    service=ServiceSpec("exp", 1.0), horizon_events=10)
+    with pytest.raises(RateError, match="total above"):
+        SimConfig(arrival_rates=(floor,), **one_user)
+    above = math.nextafter(floor, math.inf)
+    assert SimConfig(arrival_rates=(above,), **one_user).arrival_rates == (above,)
+
+
+def test_configs_and_service_specs_are_checked_when_built():
+    cfg = make_config()
+    with pytest.raises(ConfigError, match="^cache_size must be >= 1$"):
+        replace(cfg, cache_size=0)
+    with pytest.raises(
+        HorizonError, match="^warmup_events 100000 leaves no counted arrivals out of 100000$"
+    ):
+        replace(cfg, warmup_events=cfg.horizon_events)
+    with pytest.raises(RateError, match="^service parameter must be > 0, got 0.0$"):
+        ServiceSpec("exp", 0.0)
+    with pytest.raises(RateError, match="^service parameter must be > 0, got inf$"):
+        ServiceSpec("const", math.inf)
+    with pytest.raises(RateError, match="^service parameter must be > 0, got nan$"):
+        ServiceSpec.parse("exp:nan")
 
 
 def test_warmup_must_leave_counted_events():
@@ -130,10 +169,10 @@ def test_validate_accepts_exactly_the_invariant_region(
         and warmup < horizon
     )
     if feasible:
-        validate_config(SimConfig(**kwargs))
+        SimConfig(**kwargs)
     else:
         with pytest.raises(ConfigError):
-            validate_config(SimConfig(**kwargs))
+            SimConfig(**kwargs)
 
 
 def test_strategy_spec_parsing_roundtrip():

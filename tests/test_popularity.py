@@ -135,7 +135,7 @@ def test_placement_invariants_over_many_trials():
 
 
 def test_placement_rejects_infeasible_geometry():
-    # The same typed errors, and messages, as validate_config.
+    # The same typed errors, and messages, as SimConfig.
     with pytest.raises(AggregateMemoryError, match="^3 servers \\* cache_size 2 cannot cover 10 files$"):
         proportional_placement(zipf_profile(10, 0.0), 3, 2, Random(0))  # 6 slots < 10 files
     with pytest.raises(CacheSizeError, match="^cache_size 4 exceeds n_files 3$"):
