@@ -39,6 +39,7 @@ from random import Random
 
 from .model import (
     ConfigError,
+    RateError,
     RunResult,
     SimConfig,
     StrategySpec,
@@ -286,7 +287,7 @@ def run_simulation(
         wait_growth = (sum_wait_late / (n_counted - n_early)) / (sum_wait_early / n_early)
     else:
         wait_growth = 1.0
-    return RunResult(
+    result = RunResult(
         avg_cost=sum_cost / n_counted,
         avg_wait=sum_wait / n_counted,
         avg_queries=sum_queries / n_counted,
@@ -295,3 +296,10 @@ def run_simulation(
         seed_used=run_seed,
         wait_growth=wait_growth,
     )
+    # A clock or sum past the float range leaves inf or nan in an average.
+    for name in ("avg_cost", "avg_wait", "avg_jobs", "wait_growth"):
+        value = getattr(result, name)
+        if not math.isfinite(value):
+            error = ConfigError if name == "avg_cost" else RateError
+            raise error(f"{name} is {value}: the run's times or sums exceed the float range")
+    return result

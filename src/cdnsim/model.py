@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 
@@ -49,8 +49,9 @@ class CacheSizeError(ConfigError):
 
 class RateError(ConfigError):
     """An arrival rate or service parameter is not strictly positive and
-    finite, or the arrival rates' total is not finite or not above the
-    smallest normal float."""
+    finite, the arrival rates' total is not finite or not above the
+    smallest normal float, or a run's avg_wait, avg_jobs or wait_growth is
+    not finite because its clock or time sums passed the float range."""
 
 
 class HorizonError(ConfigError):
@@ -350,8 +351,6 @@ class CacheAllocation:
 
     server_files: tuple[frozenset[int], ...]
     n_files: int
-    # popularity.candidate_table's result, kept on the first call.
-    _candidate_table: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The one place each server's files become a frozenset (an exact

@@ -98,7 +98,7 @@ def proportional_placement(
 
     When cache_size == n_files every server holds every file and nothing
     is drawn: the result is one shared allocation per (n_servers, n_files),
-    so its candidate table is built once per process.
+    so consecutive runs on it share one candidate table.
     """
     n_files = profile.n_files
     check_cache_geometry(n_servers, n_files, cache_size)
@@ -130,8 +130,8 @@ class CandidateTable(list):
     Files with equal tuples share a slot: slot[f] numbers file f's tuple
     among the distinct tuples in order of first appearance, n_slots counts
     them, and full is the slot of the tuple holding every one of the
-    n_servers servers, or -1. A table is shared by every run on its
-    allocation and must not be changed.
+    n_servers servers, or -1. A table is shared by every run on equal
+    allocations and must not be changed.
     """
 
     def __init__(self, table, n_servers: int) -> None:
@@ -144,15 +144,12 @@ class CandidateTable(list):
         self.full = slot_of.get(tuple(range(n_servers)), -1)
 
 
+@lru_cache(maxsize=1)
 def candidate_table(allocation: CacheAllocation) -> CandidateTable:
-    """Servers holding each file, ascending, indexed by file; built on the
-    first call for an allocation and kept on it."""
-    table = allocation._candidate_table
-    if table is None:
-        lists: list[list[int]] = [[] for _ in range(allocation.n_files)]
-        for k, cache in enumerate(allocation.server_files):
-            for f in cache:
-                lists[f].append(k)
-        table = CandidateTable(lists, allocation.n_servers)
-        object.__setattr__(allocation, "_candidate_table", table)
-    return table
+    """Servers holding each file, ascending, indexed by file; runs on one
+    allocation, or on equal copies of it, share one table."""
+    lists: list[list[int]] = [[] for _ in range(allocation.n_files)]
+    for k, cache in enumerate(allocation.server_files):
+        for f in cache:
+            lists[f].append(k)
+    return CandidateTable(lists, allocation.n_servers)

@@ -7,9 +7,11 @@ MappingDecision naming the chosen server and how many queue-state queries
 the choice needed. The static part comes from the rule's prep(candidates,
 costs, param), built from the requesting user's cost row (fixed within a
 run) on the first request of each (user, memo slot) and kept. Decisions
-are prebuilt, one row of MappingDecision(k, count) over the servers k per
-query count the binding returns, so a returned decision may be the same
-object as an earlier one.
+are prebuilt once per process: _decisions keeps one row of
+MappingDecision(k, count) over the servers k per (server count, query
+count), so a returned decision may be the same object as an earlier one,
+from this binding or any other over the same server count. Each binding
+looks up its files' rows when it binds.
 
 Three rules decide the five families, one closure each: pss's switch
 rule, wmc's weighted rule and mcs's probe rule. The paper's closed-form
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -122,6 +125,15 @@ def queue_index(spec: StrategySpec, table, queues: Sequence[int]):
     if rule != "switch" or param == 0.0 or table.full < 0:
         return None
     return QueueIndex(queues)
+
+
+@lru_cache(maxsize=None)
+def _decisions(n_servers: int, count: int) -> tuple[MappingDecision, ...]:
+    # Each server's decision at count queries. Built by tuple.__new__, in C,
+    # not by the NamedTuple's Python __new__. count <= n_servers, so the
+    # keys stay few.
+    return tuple(map(tuple.__new__, repeat(MappingDecision, n_servers),
+                     zip(range(n_servers), repeat(count))))
 
 
 def _argmin_set(candidates: Sequence[int], values) -> list[int]:
@@ -196,9 +208,9 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
     of each (user, memo slot) and its result is kept for the rest of the
     run. prep depends on the file only through its candidate tuple, so
     files with equal tuples share one memo slot per user (at full
-    replication, all do): the slots are those of table, the
-    CandidateTable that candidate_table keeps per allocation. The switch
-    rule at 1 never reads its memo and keeps none.
+    replication, all do): the slots are those of table, a CandidateTable.
+    The switch rule at 1 never reads its memo and keeps none. n_files is
+    unread; it stays for callers that pass six arguments by position.
 
     On the slot whose tuple holds every server, the switch rule reads
     queue_index, from queue_index() and kept current by the caller, and
@@ -218,19 +230,9 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
     full = -1 if kept is None else table.full
     candidates_by_file = list(table)  # an exact list indexes faster than a subclass
     random = rng.random
-    rows: dict[int, list[MappingDecision]] = {}  # query count -> each server's decision
-    file_rows: list = [None] * n_files  # the row of each file's queue-reading choice
-
-    def decisions(count: int) -> list[MappingDecision]:
-        # Built by tuple.__new__, in C, not by the NamedTuple's Python __new__.
-        if count not in rows:
-            rows[count] = list(map(tuple.__new__, repeat(MappingDecision, n_servers),
-                                   zip(range(n_servers), repeat(count))))
-        return rows[count]
-
-    def file_row(file_index: int, count: int) -> list[MappingDecision]:
-        row = file_rows[file_index] = decisions(count)
-        return row
+    # The row of each file's queue-reading choice.
+    file_rows = [_decisions(n_servers, min(param, len(c)) if rule == "mcs" else len(c))
+                 for c in candidates_by_file]
 
     def switch_ties(user: int, file_index: int) -> tuple[MappingDecision, ...]:
         # Switch memo entry: the cost-argmin set as decisions that count no
@@ -238,10 +240,10 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
         # that count a query per candidate.
         candidates = candidates_by_file[file_index]
         if by_share:
-            row = decisions(len(candidates))
+            row = _decisions(n_servers, len(candidates))
             values = dict(zip(candidates, _shares(candidates, cost_rows[user], 1.0)))
         else:
-            row, values = decisions(0), cost_rows[user]
+            row, values = _decisions(n_servers, 0), cost_rows[user]
         return tuple([row[k] for k in _argmin_set(candidates, values)])
 
     if rule == "switch":
@@ -261,7 +263,7 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
                     ties = buckets[queue_index.lowest]
                 else:
                     ties = _argmin_set(candidates, queues)
-                row = file_rows[file_index] or file_row(file_index, len(candidates))
+                row = file_rows[file_index]
                 j = int(x / switch * len(ties))
                 return row[ties[j] if j < len(ties) else ties[-1]]
             s = slot[file_index]
@@ -310,7 +312,7 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
                     ties.append(pos)
             if len(ties) > 1:
                 ties.sort()
-            row = file_rows[file_index] or file_row(file_index, len(candidates))
+            row = file_rows[file_index]
             # random() <= 1 - 2**-53, so int(random() * n) < n for n <= 2**53.
             return row[candidates[ties[int(random() * len(ties))]]]
 
@@ -334,7 +336,7 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
             else:
                 probed = base
             ties = _argmin_set(probed, queues)
-            row = file_rows[file_index] or file_row(file_index, len(probed))
+            row = file_rows[file_index]
             # random() <= 1 - 2**-53, so int(random() * n) < n for n <= 2**53.
             return row[ties[int(random() * len(ties))]]
 

@@ -334,6 +334,19 @@ def test_main_rejects_arrival_rates_with_a_subnormal_total(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_reports_a_run_whose_sums_overflow(tmp_path, capsys):
+    cfg_path = tmp_path / "slow.cfg"
+    _write_small_config(cfg_path)
+    cfg_path.write_text(cfg_path.read_text().replace("exp:1.0", "const:1e305"))
+    out = tmp_path / "o.csv"
+    assert main(["--config", str(cfg_path), "--strategy", "mincost", "--runs", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("simulate: error: avg_wait is inf: "
+                   "the run's times or sums exceed the float range\n")
+    assert not out.exists()
+
+
 def test_main_workers_flag_does_not_change_output(tmp_path):
     cfg_path = tmp_path / "sim.cfg"
     _write_small_config(cfg_path)

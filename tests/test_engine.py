@@ -19,6 +19,7 @@ from cdnsim.model import (
     CacheAllocation,
     ConfigError,
     CostMatrix,
+    RateError,
     ServiceSpec,
     SimConfig,
     StrategySpec,
@@ -126,6 +127,27 @@ def test_user_draw_stays_in_range_just_above_the_rate_total_floor():
     above = math.nextafter(floor, math.inf)
     assert top * above < above
     assert bisect_right([above], top * above) == 0
+
+
+@pytest.mark.parametrize("cfg, message", [
+    # The rates' total is a normal float, but the clock passes the float
+    # range within the run.
+    (default_config(n_users=1000, arrival_rates=(1e-310,) * 1000, horizon_events=2000,
+                    warmup_events=10), "avg_wait is nan"),
+    (default_config(service=ServiceSpec("exp", 1e-308)), "avg_wait is inf"),
+    # The clock stays finite; only the sojourn sums overflow.
+    (default_config(service=ServiceSpec("const", 1e305)), "avg_wait is inf"),
+])
+def test_runs_whose_times_overflow_are_rate_errors(cfg, message):
+    with pytest.raises(RateError) as raised:
+        run_simulation(cfg, "mincost", 1)
+    assert str(raised.value) == f"{message}: the run's times or sums exceed the float range"
+
+
+def test_runs_just_inside_the_float_range_finish_and_flag_overload():
+    result = run_simulation(default_config(service=ServiceSpec("const", 1e300)), "mincost", 1)
+    assert all(map(math.isfinite, (result.avg_wait, result.avg_jobs, result.wait_growth)))
+    assert result.overloaded
 
 
 def _single_queue_config(horizon, service="const:2.0", rate=0.5, warmup=0):

@@ -1,5 +1,6 @@
 """Popularity profiles, proportional placement, and candidate sets."""
 
+import pickle
 from random import Random
 
 import pytest
@@ -261,6 +262,22 @@ def test_full_replication_is_one_shared_allocation_that_draws_nothing():
     assert table == [tuple(range(100))] * 70
     assert candidate_table(alloc) is table
     assert table.slot == [0] * 70 and table.n_slots == 1 and table.full == 0
+
+
+def test_an_unpickled_copy_of_an_allocation_shares_its_candidate_table():
+    # A pool worker gets an equal copy of a fixed allocation; the table is
+    # keyed by the allocation's value, so the copy finds the same one.
+    alloc = proportional_placement(zipf_profile(70, 0.0), 100, 8, Random(3))
+    copy = pickle.loads(pickle.dumps(alloc))
+    assert copy is not alloc and copy == alloc
+    assert candidate_table(copy) is candidate_table(alloc)
+
+
+def test_building_the_candidate_table_leaves_the_allocation_unchanged():
+    alloc = proportional_placement(zipf_profile(70, 0.0), 100, 8, Random(4))
+    before = pickle.dumps(alloc)
+    candidate_table(alloc)
+    assert pickle.dumps(alloc) == before
 
 
 def test_candidate_table_slots_number_distinct_tuples_in_first_appearance_order():

@@ -715,8 +715,9 @@ def test_bind_strategy_matches_plain_calls_for_every_kind():
 
 def test_bindings_over_different_server_counts_keep_their_own_decisions():
     # Two bindings alive at once, over 3 and over 100 servers, called in
-    # turn: each must return its own servers and query counts, so no row of
-    # prebuilt decisions may be shared between bindings.
+    # turn: each must return its own servers and query counts, so rows of
+    # prebuilt decisions are shared by bindings over one server count,
+    # never across server counts.
     tables = (
         (((4.0, 1.0, 1.0),), CandidateTable([(0, 1, 2)], 3)),
         ((tuple(float(k % 7) for k in range(100)),), CandidateTable([range(100)], 100)),
@@ -737,6 +738,21 @@ def test_bindings_over_different_server_counts_keep_their_own_decisions():
             for decide, ref_rng, rows, cands in bound:
                 queues = [queue_rng.randrange(3) for _ in rows[0]]
                 assert decide(0, 0, queues) == reference(cands[0], rows[0], queues, ref_rng)
+
+
+def test_bindings_over_one_server_count_return_the_same_decision_objects():
+    # Rows of prebuilt decisions are kept per process, by server count and
+    # query count: two live bindings, of one family or of two, return one
+    # object for one (server, queries) decision.
+    costs = (4.0, 1.0, 1.0)
+    queues = [2, 0, 1]
+    first = _bind("minqueue", None, (0, 1, 2), costs, Random(0))
+    second = _bind("minqueue", None, (0, 1, 2), costs, Random(1))
+    weighted = _bind("wmc", 0.5, (0, 1, 2), costs, Random(2))
+    decision = first(0, 0, queues)
+    assert decision == MappingDecision(1, 3)
+    assert second(0, 0, queues) is decision
+    assert weighted(0, 0, queues) is decision
 
 
 def test_decision_hook_receives_mapping_decisions_with_documented_queries():
