@@ -81,20 +81,35 @@ class SweepSpec:
 
 def _one_run(job):
     # One sweep run. The one run of a traced sweep also writes its trace and
-    # placement files, opened here, where the run happens.
+    # placement files, opened here, where the run happens. If the placement
+    # write or the run raises, the files opened here are closed by their
+    # with blocks and then removed, so a failed run leaves none, as a failed
+    # sweep leaves no CSV.
     cfg, strategy, run_seed, cost_matrix, allocation, trace, placement = job
-    if placement:
-        # Materialize what the run would draw so the allocation can be dumped.
-        cost_matrix, allocation = run_inputs(
-            cfg, substream(run_seed, "layout"), substream(run_seed, "placement"),
-            cost_matrix=cost_matrix, allocation=allocation,
-        )
-        with open(placement, "w", encoding="utf-8") as fh:
-            for k, files in enumerate(allocation.server_files):
-                fh.write(f"{k}: {','.join(str(f) for f in sorted(files))}\n")
-    with (open(trace, "w", encoding="utf-8", newline="") if trace else nullcontext()) as fh:
-        return run_simulation(cfg, strategy, run_seed, cost_matrix=cost_matrix,
-                              allocation=allocation, trace=fh)
+    opened = []
+    try:
+        if placement:
+            # Materialize what the run would draw so the allocation can be dumped.
+            cost_matrix, allocation = run_inputs(
+                cfg, substream(run_seed, "layout"), substream(run_seed, "placement"),
+                cost_matrix=cost_matrix, allocation=allocation,
+            )
+            with open(placement, "w", encoding="utf-8") as fh:
+                opened.append(placement)
+                for k, files in enumerate(allocation.server_files):
+                    fh.write(f"{k}: {','.join(str(f) for f in sorted(files))}\n")
+        with (open(trace, "w", encoding="utf-8", newline="") if trace else nullcontext()) as fh:
+            if trace:
+                opened.append(trace)
+            return run_simulation(cfg, strategy, run_seed, cost_matrix=cost_matrix,
+                                  allocation=allocation, trace=fh)
+    except BaseException:
+        for path in opened:
+            # Only a regular file is removed: a device such as /dev/null stays,
+            # and a path given for both files is removed once.
+            if os.path.isfile(path):
+                os.remove(path)
+        raise
 
 
 def _sweep_runs(cfg: SimConfig, sweep: SweepSpec, cost_matrix, fixed_topology: bool,

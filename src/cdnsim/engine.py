@@ -23,9 +23,12 @@ read whole-set queue state the run keeps instead of scanning every queue.
 wmc strictly between cost weights 0 and 1 reads the jobs total as the
 departure heap's length: once the departures at or before t have been
 popped, the heap holds one entry per job in system. The switch rule's
-queue branch (minqueue, wmc:0, pss above switch probability 0) reads a
-strategies.QueueIndex: the servers bucketed by queue length in sorted
-lists, with the lowest length, which each arrival and departure updates.
+queue branch (minqueue, wmc:0, pss above switch probability 0) reads the
+one-item list that strategies.queue_index builds, whose item lists the
+least-loaded servers in ascending order. The run alone keeps the servers
+bucketed by queue length in sorted lists: each arrival and departure moves
+one server between two lists, and the item is re-pointed at the lowest
+nonempty list only when the least queue length changes.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from heapq import heappop, heappush
 from itertools import accumulate
 from random import Random
@@ -157,8 +161,13 @@ def run_simulation(
     rows = cost_matrix.entries
     table = candidate_table(allocation)
 
-    index = queue_index(strategy, table, [0] * n_servers)
-    buckets = None if index is None else index.buckets
+    # The switch rule's list of the least-loaded servers, kept as
+    # least[0] = buckets[lowest]: buckets maps each queue length reached to
+    # the ascending list of the servers holding that many jobs (emptied lists
+    # stay), and every queue is 0 at the start.
+    least = queue_index(strategy, table, [0] * n_servers)
+    buckets = None if least is None else defaultdict(list, {0: least[0]})
+    lowest = 0
 
     # Per-server state: free_at[k] is when server k's last job departs;
     # njobs[k] counts server k's jobs on the departure heap and is the queue
@@ -173,7 +182,7 @@ def run_simulation(
     svc_rng = substream(run_seed, "service")
     decide = bind_strategy(
         strategy, rows, table, cfg.n_users, cfg.n_files, substream(run_seed, "strategy"),
-        queue_index=index, jobs_in_system=dep_heap,
+        queue_index=least, jobs_in_system=dep_heap,
     )
     cands_by_file = list(table)  # the hook's; an exact list indexes faster than a subclass
 
@@ -231,13 +240,11 @@ def run_simulation(
                 # k moves from bucket q + 1 to bucket q.
                 q = njobs[k]
                 b = buckets[q + 1]
-                if len(b) == 1:
-                    del buckets[q + 1]
-                else:
-                    del b[bisect_left(b, k)]
+                del b[bisect_left(b, k)]
                 insort(buckets[q], k)
-                if q < index.lowest:
-                    index.lowest = q
+                if q < lowest:
+                    lowest = q
+                    least[0] = buckets[q]
         fidx = bis(cum_probs, file_u())
         svc = -log(1.0 - svc_u()) / svc_param if service_is_exp else svc_param
         decision = decide(user, fidx, njobs)
@@ -268,13 +275,11 @@ def run_simulation(
             # k moves from bucket q - 1 to bucket q.
             q = njobs[k]
             b = buckets[q - 1]
-            if len(b) == 1:
-                del buckets[q - 1]
-                if index.lowest == q - 1:
-                    index.lowest = q
-            else:
-                del b[bisect_left(b, k)]
+            del b[bisect_left(b, k)]
             insort(buckets[q], k)
+            if not b and lowest == q - 1:
+                lowest = q
+                least[0] = buckets[q]
 
     # Jobs in system integrated over the window: every counted sojourn lies
     # inside it, and a carried warmup job counts until it departs or the

@@ -167,10 +167,11 @@ def replay_strategy(
     The strategy sees the true jobs-in-system vector at each arrival: a
     job counts until its departure, and one departing at the arrival's
     time has left, as in the engine. At each arrival it is bound with
-    bind_strategy, the queue_index built from that vector and, as the
-    engine's departure heap, the list of the servers of the jobs in
-    system, so a file held by every server takes the engine's path. prep
-    draws nothing, so a fresh binding decides as a warm one would.
+    bind_strategy, the one-item list of the least-loaded servers that
+    queue_index builds from that vector and, as the engine's departure
+    heap, the list of the servers of the jobs in system, so a file held by
+    every server takes the engine's path. prep draws nothing, so a fresh
+    binding decides as a warm one would.
     """
     if isinstance(strategy, str):
         strategy = StrategySpec.parse(strategy)

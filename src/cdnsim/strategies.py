@@ -43,18 +43,17 @@ every later draw are those of sample.
 Whole-set queue state: the switch rule's queue branch and the weighted
 rule read queue state across the whole candidate set. When a candidate
 tuple holds every server, they read it from their caller instead of
-scanning: the switch rule the sorted list of servers at the lowest queue
-length, kept in a QueueIndex that queue_index builds and the engine
-updates at every event; the weighted rule the jobs total, as the length
-of the caller's jobs-in-system collection. Every other tuple, and every
-binding made without either, scans the queue vector.
+scanning: the switch rule the ascending list of the least-loaded servers,
+as the item of the one-item list that queue_index builds and the caller
+keeps current; the weighted rule the jobs total, as the length of the
+caller's jobs-in-system collection. Every other tuple, and every binding
+made without either, scans the queue vector.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple, Sequence
@@ -66,33 +65,6 @@ from .model import STRATEGY_PARAMS, StrategySpec, seq_sum
 class MappingDecision(NamedTuple):
     server: int
     queries_used: int
-
-
-class QueueIndex:
-    """The servers bucketed by jobs in system, for the switch rule.
-
-    buckets maps each queue length to the ascending list of servers holding
-    that many jobs (a defaultdict(list); an emptied list is deleted), and
-    lowest is the smallest such length. The constructor builds it from
-    scratch; run_simulation keeps it current in place at every arrival and
-    departure, moving a server between lists with bisect and insort.
-    """
-
-    __slots__ = ("buckets", "lowest")
-
-    def __init__(self, queues: Sequence[int]) -> None:
-        self.buckets = defaultdict(list)
-        for k, q in enumerate(queues):
-            self.buckets[q].append(k)
-        self.lowest = min(self.buckets)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QueueIndex):
-            return NotImplemented
-        return (self.buckets, self.lowest) == (other.buckets, other.lowest)
-
-    def __repr__(self) -> str:
-        return f"QueueIndex(buckets={self.buckets}, lowest={self.lowest})"
 
 
 def _rule(spec: StrategySpec) -> tuple[str, float, bool]:
@@ -112,19 +84,24 @@ def _rule(spec: StrategySpec) -> tuple[str, float, bool]:
     return kind, param, False
 
 
-def queue_index(spec: StrategySpec, table, queues: Sequence[int]):
-    """The QueueIndex over queues that spec reads, or None.
+def queue_index(spec: StrategySpec, table, queues: Sequence[int]) -> list[list[int]] | None:
+    """The one-item list of the least-loaded servers of queues that spec
+    reads, or None.
 
-    One is built only for the switch rule above switch probability 0, and
-    only when some candidate tuple of table, a CandidateTable, holds every
-    server. Every other spec gets None: the weighted rule reads its jobs
-    total from bind_strategy's jobs_in_system, and the switch rule at 0
-    and the probe rule read no whole candidate set's queues.
+    Its item lists the servers at the least queue length in ascending
+    order, as _argmin_set does. The caller keeps it current: after each
+    change of queues the item, updated in place or replaced, lists the
+    servers then least loaded. One is built only for the switch rule above
+    switch probability 0, and only when some candidate tuple of table, a
+    CandidateTable, holds every server. Every other spec gets None: the
+    weighted rule reads its jobs total from bind_strategy's jobs_in_system,
+    and the switch rule at 0 and the probe rule read no whole candidate
+    set's queues.
     """
     rule, param, _ = _rule(spec)
     if rule != "switch" or param == 0.0 or table.full < 0:
         return None
-    return QueueIndex(queues)
+    return [_argmin_set(range(len(queues)), queues)]
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +175,7 @@ def mcs_prep(candidates: Sequence[int], costs, n_choices: int):
 
 
 def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: int,
-                  rng, *, queue_index: QueueIndex | None = None, jobs_in_system=None):
+                  rng, *, queue_index: list[list[int]] | None = None, jobs_in_system=None):
     """Compile a spec into its rule's per-request closure fn(user, file, queues).
 
     The closure is one of three: switch (mincost, minqueue, pss and wmc's
@@ -213,11 +190,12 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
     unread; it stays for callers that pass six arguments by position.
 
     On the slot whose tuple holds every server, the switch rule reads
-    queue_index, from queue_index() and kept current by the caller, and
-    the weighted rule reads len(jobs_in_system), a sized collection the
-    caller keeps with one entry per job in system. Every other slot, and
-    every slot of a binding not given its rule's input, scans the queues
-    the closure is called with.
+    queue_index[0], the ascending list of the least-loaded servers, from
+    queue_index() and kept current by the caller, and the weighted rule
+    reads len(jobs_in_system), a sized collection the caller keeps with
+    one entry per job in system. Every other slot, and every slot of a
+    binding not given its rule's input, scans the queues the closure is
+    called with.
     """
     if spec.kind not in STRATEGY_PARAMS:
         raise ValueError(f"unknown strategy kind {spec.kind!r}")
@@ -248,19 +226,18 @@ def bind_strategy(spec: StrategySpec, cost_rows, table, n_users: int, n_files: i
 
     if rule == "switch":
         switch = param
-        buckets = None if queue_index is None else queue_index.buckets
 
         def decide(user: int, file_index: int, queues) -> MappingDecision:
             # With probability switch go least-loaded, polling every
             # candidate, otherwise cheapest. One uniform picks the branch
             # and, rescaled to its conditional distribution, breaks its tie.
-            # The index's lowest bucket lists the least loaded in ascending
-            # order, as a scan would.
+            # On the full slot, queue_index's item lists the least loaded in
+            # ascending order, as a scan would.
             x = random()
             if switch > 0.0 and x <= switch:
                 candidates = candidates_by_file[file_index]
                 if slot[file_index] == full:
-                    ties = buckets[queue_index.lowest]
+                    ties = queue_index[0]
                 else:
                     ties = _argmin_set(candidates, queues)
                 row = file_rows[file_index]

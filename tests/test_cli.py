@@ -347,6 +347,24 @@ def test_main_reports_a_run_whose_sums_overflow(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_run_that_fails_when_it_ends_leaves_no_trace_or_placement(tmp_path, capsys):
+    # The overflow is found only once the run has written its trace: the
+    # files the run opened are closed and removed, with or without a trace,
+    # and a path given for both files is removed once.
+    cfg_path = tmp_path / "slow.cfg"
+    _write_small_config(cfg_path)
+    cfg_path.write_text(cfg_path.read_text().replace("exp:1.0", "const:1e305"))
+    out, trace, placement = tmp_path / "o.csv", tmp_path / "t.csv", tmp_path / "p.txt"
+    for outputs in (["--trace", str(trace), "--dump-placement", str(placement)],
+                    ["--dump-placement", str(placement)],
+                    ["--trace", str(trace), "--dump-placement", str(trace)]):
+        assert main(["--config", str(cfg_path), "--strategy", "mincost", "--runs", "1",
+                     "--out", str(out)] + outputs) == 2
+        assert capsys.readouterr().err == ("simulate: error: avg_wait is inf: "
+                                           "the run's times or sums exceed the float range\n")
+        assert not out.exists() and not trace.exists() and not placement.exists()
+
+
 def test_main_workers_flag_does_not_change_output(tmp_path):
     cfg_path = tmp_path / "sim.cfg"
     _write_small_config(cfg_path)

@@ -10,7 +10,7 @@ from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdnsim import engine
 from cdnsim.engine import mix_seed, run_simulation, substream
@@ -27,7 +27,7 @@ from cdnsim.model import (
 )
 from cdnsim.oracle import mm1_mean_sojourn
 from cdnsim.popularity import CandidateTable, candidate_table, proportional_placement, zipf_profile
-from cdnsim.strategies import QueueIndex, bind_strategy, queue_index
+from cdnsim.strategies import bind_strategy, queue_index
 from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
 
 
@@ -537,9 +537,10 @@ def test_shadow_fifo_agrees_with_engine_for_every_family():
 
 class IndexSpy:
     """Stands in for engine.queue_index and, through bind, for
-    engine.bind_strategy: builds the index and binds as the engine would,
-    and keeps the index and the jobs_in_system collection the engine
-    passes, so a decision_hook can read the engine's copies."""
+    engine.bind_strategy: builds the one-item list of the least-loaded
+    servers and binds as the engine would, and keeps that list and the
+    jobs_in_system collection the engine passes, so a decision_hook can
+    read the engine's copies."""
 
     def __init__(self):
         self.built = []
@@ -565,13 +566,23 @@ class IndexSpy:
     load=st.floats(0.3, 1.5),
     seed=st.integers(0, 2**32),
 )
+# The benchmark's fleet of 100 servers, near and above capacity.
+@example(strategy="minqueue", service="exp:1", n_servers=100, n_users=4, n_files=3,
+         load=0.98, seed=1)
+@example(strategy="minqueue", service="exp:1", n_servers=100, n_users=4, n_files=3,
+         load=1.1, seed=1)
+@example(strategy="pss:0.5", service="exp:1", n_servers=100, n_users=4, n_files=3,
+         load=0.98, seed=1)
+@example(strategy="pss:0.5", service="exp:1", n_servers=100, n_users=4, n_files=3,
+         load=1.1, seed=1)
 def test_engine_queue_state_matches_a_rebuild_at_every_arrival(
         strategy, service, n_servers, n_users, n_files, load, seed):
     # At full replication the engine keeps whole-set queue state; at every
     # arrival it must match the queue vector the strategy sees. The switch
-    # rule's index must equal the index built from scratch, and wmc's jobs
-    # collection must hold one entry per job in system. Loads above 1 grow
-    # queues, so buckets come and go.
+    # rule's one-item list must hold the least-loaded servers, in ascending
+    # order, and wmc's jobs collection must hold one entry per job in
+    # system. Loads above 1 grow queues, so the least queue length rises
+    # and falls.
     cfg = default_config(n_servers=n_servers, n_users=n_users, n_files=n_files,
                          cache_size=n_files, horizon_events=400,
                          arrival_rates=(load * n_servers / n_users,) * n_users,
@@ -582,7 +593,7 @@ def test_engine_queue_state_matches_a_rebuild_at_every_arrival(
 
     def hook(t, user, fidx, cands, queues, decision):
         if switch:
-            assert spy.built[0] == QueueIndex(queues)
+            assert spy.built[0] == [[k for k, q in enumerate(queues) if q == min(queues)]]
         else:
             assert len(spy.jobs[0]) == sum(queues)
         arrivals.append(t)
