@@ -11,12 +11,12 @@ entry, and is the way for every matrix from outside the Manhattan
 builder: loaded files, injected matrices, the oracle's instances. The
 private CostMatrix._of_sums is the builder's way: its rows are float
 sums of distance rows the builder made itself, so they are taken as
-given and the entry rule is checked on the few distance rows (about 40
-at the default lattice side) instead of on 10,000 sums, the largest
-part of a run's set-up otherwise. Whether a configuration is stable
-depends on the strategy and on the drawn layout and placement, so no
-check of it is made up front: each run reports signs of overload on
-its RunResult. Each input rule lives here once: read_number reads
+given and the entry rule is checked on the distinct distance values
+(about 40 sets of about 20 at the default lattice side) instead of on
+10,000 sums, the largest part of a run's set-up otherwise. Whether a
+configuration is stable depends on the strategy and on the drawn
+layout and placement, so no check of it is made up front: each run
+reports signs of overload on its RunResult. Each input rule lives here once: read_number reads
 every number from outside text, STRATEGY_PARAMS names each family's
 parameter, check_cache_geometry is shared by SimConfig and placement,
 check_lattice_side by SimConfig and the lattice layouts,
@@ -314,11 +314,15 @@ class CostMatrix:
     @classmethod
     def _of_sums(cls, rows, x_rows, y_rows) -> "CostMatrix":
         """The matrix whose entries are rows, taken as given: a tuple of
-        equal-length float tuples, each the elementwise sum of one of the
-        distance rows x_rows and one of y_rows. The entry rule is checked
-        on the distance rows instead of the sums: when each is finite and
-        >= 0 and the largest x distance plus the largest y distance is
-        finite, every sum is too, as float addition is monotone."""
+        equal-length float tuples, each entry the sum of an x distance and
+        a y distance. x_rows and y_rows are non-empty collections of those
+        distances; the Manhattan builder passes each user coordinate's
+        distinct values, about 20 at side 20, not its 100-entry row. The
+        entry rule is checked on the distances instead of the sums: when
+        each is finite and >= 0 and the largest x distance plus the
+        largest y distance is finite, every sum is too, as float addition
+        is monotone. A bad distance is named by its place in its
+        collection."""
         if not rows or not rows[0]:
             raise ConfigError("cost matrix must be non-empty")
         for axis, distances in (("x", x_rows), ("y", y_rows)):

@@ -49,20 +49,23 @@ def zipf_profile(n_files: int, beta: float) -> PopularityProfile:
 
 
 def _cache_sampler(weights: list[float], cache_size: int, rng: Random):
-    # A function drawing one server's cache: draw, remove, renormalize, so
-    # each pick is proportional to the remaining weights. Uniform weights
-    # reduce to Random.sample(range(n), cache_size), drawn by draws.sample.
+    """A function drawing one server's cache: draw, remove, renormalize,
+    so each pick is proportional to the remaining weights. Uniform
+    weights reduce to Random.sample(range(n), cache_size), drawn by
+    draws.sample. Every server's pool starts as the same list, so its
+    seq_sum, the starting total, is summed once per sampler."""
     n = len(weights)
     if min(weights) == max(weights):
         files = range(n)
         draws, pooled = sample_plan(n, cache_size)
         getrandbits = rng.getrandbits
         return lambda: sample(files, draws, pooled, getrandbits)
+    full_total = seq_sum(weights)
 
     def weighted() -> list[int]:
         live = list(range(n))
         pool = list(weights)
-        total = seq_sum(pool)
+        total = full_total
         picked = []
         for _ in range(cache_size):
             x = rng.random() * total
@@ -94,7 +97,9 @@ def proportional_placement(
 
     Repair rule: for each uncovered file (ascending), find the file with
     the most replicas network-wide (ties: lowest file index) and overwrite
-    one of its copies on the lowest-index server holding it.
+    one of its copies on the lowest-index server holding it. The replica
+    counts are a list indexed by file, so the donor is
+    replicas.index(max(replicas)), found by two C-level scans.
 
     When cache_size == n_files every server holds every file and nothing
     is drawn: the result is one shared allocation per (n_servers, n_files),
@@ -108,12 +113,12 @@ def proportional_placement(
     draw = _cache_sampler(list(profile.probs), cache_size, rng)
     caches = [set(draw()) for _ in range(n_servers)]
 
-    replicas = Counter(chain.from_iterable(caches))
+    replicas = list(map(Counter(chain.from_iterable(caches)).__getitem__, range(n_files)))
     for missing in range(n_files):
         if replicas[missing]:
             continue
         # Most-replicated file; ties go to the lowest file index.
-        donor = max(range(n_files), key=lambda f: (replicas[f], -f))
+        donor = replicas.index(max(replicas))
         holder = next(k for k in range(n_servers) if donor in caches[k])
         caches[holder].discard(donor)
         caches[holder].add(missing)

@@ -46,32 +46,35 @@ def random_lattice_layout(n_users: int, n_servers: int, side: int, rng: Random) 
     return LatticeLayout(side, points[:n_users], points[n_users:])
 
 
+def _distance_rows(user_cs, server_cs):
+    # ({u: [|u - c| for c in server_cs]}, [each row's distances]) over the
+    # distinct user coordinates u. |u - c| is computed once per distinct
+    # server coordinate c, in a dict that each row is mapped from in C.
+    floats = {c: float(c) for c in dict.fromkeys(server_cs)}
+    dists = {u: {c: abs(u - f) for c, f in floats.items()} for u in dict.fromkeys(user_cs)}
+    return ({u: list(map(d.__getitem__, server_cs)) for u, d in dists.items()},
+            [d.values() for d in dists.values()])
+
+
 def manhattan_cost_matrix(layout: LatticeLayout) -> CostMatrix:
     """Delivery cost = |dx| + |dy| between user and server positions.
 
-    One row of float distances |ux - sx| over the servers is built per
-    distinct user x, one of |uy - sy| per distinct user y, and one cost
-    row per distinct user cell, the elementwise sum of its two; users on
-    the same cell share that row. The distances are small integers, so
-    every float sum is exact and equals float(|dx| + |dy|). The rows go to
-    CostMatrix._of_sums, which checks the entry rule on the distance rows
-    and does not convert or walk the sums again.
+    Per distinct user x, the float distance |ux - sx| is computed once per
+    distinct server x (about 20 of 100 servers at side 20) and mapped over
+    the servers into a row; the same goes for y. One cost row is built per
+    distinct user cell, the elementwise sum of its two distance rows;
+    users on the same cell share that row. The distances are small
+    integers, so every float sum is exact and equals float(|dx| + |dy|).
+    The rows go to CostMatrix._of_sums with the distinct distance values,
+    on which it checks the entry rule; the sums are not converted or
+    walked again.
     """
-    server_xs = [float(x) for x, _ in layout.servers]
-    server_ys = [float(y) for _, y in layout.servers]
-    x_rows: dict[int, list[float]] = {}
-    y_rows: dict[int, list[float]] = {}
-    cell_rows: dict[Point, tuple[float, ...]] = {}
-    for cell in layout.users:
-        if cell not in cell_rows:
-            ux, uy = cell
-            if ux not in x_rows:
-                x_rows[ux] = [abs(ux - sx) for sx in server_xs]
-            if uy not in y_rows:
-                y_rows[uy] = [abs(uy - sy) for sy in server_ys]
-            cell_rows[cell] = tuple(map(add, x_rows[ux], y_rows[uy]))
-    return CostMatrix._of_sums(tuple(map(cell_rows.__getitem__, layout.users)),
-                               x_rows.values(), y_rows.values())
+    users, servers = layout.users, layout.servers
+    x_rows, x_distances = _distance_rows([x for x, _ in users], [x for x, _ in servers])
+    y_rows, y_distances = _distance_rows([y for _, y in users], [y for _, y in servers])
+    cell_rows = {cell: tuple(map(add, x_rows[cell[0]], y_rows[cell[1]]))
+                 for cell in dict.fromkeys(users)}
+    return CostMatrix._of_sums(tuple(map(cell_rows.__getitem__, users)), x_distances, y_distances)
 
 
 def load_cost_matrix(path) -> CostMatrix:

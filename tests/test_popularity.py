@@ -15,6 +15,7 @@ from cdnsim.model import (
     ConfigError,
     ServiceSpec,
     SimConfig,
+    seq_sum,
 )
 from cdnsim.popularity import (
     CandidateTable,
@@ -188,6 +189,53 @@ def test_repair_prefers_most_replicated_donor_and_lowest_server():
     assert repaired[0] == frozenset({3, 1})
     assert repaired[1] == frozenset({0, 1})
     assert repaired[2] == frozenset({0, 2})
+
+
+def _reference_placement(probs, n_servers, cache_size, rng):
+    # Independent restatement of the placement rule, before repair: uniform
+    # weights draw Random.sample(range(n), cache_size); other weights draw,
+    # remove and renormalize, each server summing its own starting pool.
+    n = len(probs)
+    caches = []
+    for _ in range(n_servers):
+        if min(probs) == max(probs):
+            caches.append(set(rng.sample(range(n), cache_size)))
+            continue
+        live, pool = list(range(n)), list(probs)
+        total = seq_sum(pool)
+        picked = set()
+        for _ in range(cache_size):
+            x = rng.random() * total
+            acc = 0.0
+            for j, w in enumerate(pool):
+                acc += w
+                if x < acc:
+                    break
+            picked.add(live.pop(j))
+            total -= pool.pop(j)
+        caches.append(picked)
+    return caches
+
+
+def test_placement_matches_the_reference_rule():
+    # Seeds, server counts, cache sizes (1 and n_files - 1 included) and
+    # exponents (0, the uniform path, included) vary; with few servers the
+    # repair runs often.
+    case_rng = Random(26)
+    repaired = uniform = 0
+    for seed in range(360):
+        n_files = case_rng.randint(2, 24)
+        cache_size = case_rng.choice((1, n_files - 1, case_rng.randint(1, n_files - 1)))
+        fewest = -(-n_files // cache_size)
+        n_servers = fewest + case_rng.choice((0, 0, 1, 2, case_rng.randint(0, 30)))
+        beta = case_rng.choice((0.0, 0.0, 0.4, 1.0, 2.5))
+        profile = zipf_profile(n_files, beta)
+        pre = _reference_placement(profile.probs, n_servers, cache_size, Random(seed))
+        repaired += len(set().union(*pre)) < n_files
+        uniform += beta == 0.0
+        alloc = proportional_placement(profile, n_servers, cache_size, Random(seed))
+        assert alloc.server_files == tuple(_repair_oracle(pre, n_files)), seed
+    assert repaired > 100 and uniform > 100  # both paths and the repair really ran
 
 
 def test_inclusion_probability_uniform_profile():

@@ -101,17 +101,23 @@ def test_manhattan_matrix_properties(side, n_users, n_servers, seed):
 
 def _layout_cases():
     # (name, layout): one-cell lattice; default side; side 1000 with every
-    # user and server coordinate distinct; many nodes on a few cells.
+    # user and server coordinate distinct; many nodes on a few cells; side
+    # 2**52 with every coordinate at 0 or 2**52 - 1, so that many servers
+    # share an x or a y and the largest cost, 2**53 - 2, is still exact.
     rng = Random(11)
     xs, ys = rng.sample(range(1000), 150), rng.sample(range(1000), 150)
     distinct = LatticeLayout(1000, tuple(zip(xs[:50], ys[:50])), tuple(zip(xs[50:], ys[50:])))
     cells = [(0, 0), (2, 1), (1, 2)]
     colliding = LatticeLayout(3, tuple(rng.choice(cells) for _ in range(40)),
                               tuple(rng.choice(cells) for _ in range(30)))
+    ends = (0, 2**52 - 1)
+    corners = LatticeLayout(2**52, tuple((rng.choice(ends), rng.choice(ends)) for _ in range(12)),
+                            tuple((rng.choice(ends), rng.choice(ends)) for _ in range(20)))
     return [("side1", random_lattice_layout(30, 20, 1, rng)),
             ("side20", random_lattice_layout(100, 100, 20, rng)),
             ("side1000_distinct", distinct),
-            ("colliding", colliding)]
+            ("colliding", colliding),
+            ("side2**52_ends", corners)]
 
 
 @pytest.mark.parametrize("name, layout", _layout_cases())
@@ -129,8 +135,10 @@ def test_manhattan_matrix_equals_per_entry_distances(name, layout):
     row_of_cell = {}
     for cell, row in zip(layout.users, entries):
         assert row_of_cell.setdefault(cell, row) is row
-    if name in ("side1", "colliding"):
+    if name in ("side1", "colliding", "side2**52_ends"):
         assert len(row_of_cell) < len(layout.users)
+    if name == "side2**52_ends":
+        assert max(map(max, entries)) == 2**53 - 2
 
 
 def test_manhattan_matrix_rejects_a_cost_that_overflows():
