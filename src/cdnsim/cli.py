@@ -7,7 +7,10 @@ point in the sweep's order: cache sizes ascending, parameters ascending
 within each. Every call goes through one driver, run_sweep; a --trace
 or --dump-placement file is an output of a one-run sweep's run. Reruns
 with identical flags produce byte-identical CSV files regardless of
---workers, which starts at most one process per run. Numbers in flags
+--workers, which starts at most one process per run. The pool
+machinery (concurrent.futures.process, multiprocessing) is imported
+only when a sweep starts a pool, so `import cdnsim`, run_simulation and
+every serial sweep leave it unloaded. Numbers in flags
 are read by model.read_number and sweep names come from
 model.STRATEGY_PARAMS, so the CLI shares the config file's error
 messages and family table.
@@ -19,7 +22,6 @@ import argparse
 import errno
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from random import Random
@@ -173,6 +175,9 @@ def run_sweep(
     jobs = _sweep_runs(cfg, sweep, cost_matrix, fixed_topology, _trace, _placement)
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
+        # Imported here, so that no serial run loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_run, jobs, chunksize=1))
     else:

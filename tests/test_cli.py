@@ -1,7 +1,11 @@
 """Sweep driver, CSV formatting, the command-line entry point, and the
 package's top-level API."""
 
+import concurrent.futures
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from random import Random
@@ -9,7 +13,6 @@ from random import Random
 import pytest
 
 import cdnsim
-from cdnsim import cli
 from cdnsim.cli import (
     CSV_HEADER,
     SweepSpec,
@@ -90,7 +93,8 @@ def test_parallel_sweep_is_bit_identical_to_serial():
 
 
 class _PoolRecorder:
-    # Stands in for ProcessPoolExecutor: records each pool's size and runs
+    # Stands in for concurrent.futures.ProcessPoolExecutor, the name that
+    # run_sweep's pooled branch imports: records each pool's size and runs
     # its jobs in this process.
     sizes: list = []
 
@@ -108,7 +112,7 @@ class _PoolRecorder:
 
 
 def test_sweep_starts_at_most_one_worker_per_run(monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _PoolRecorder)
     monkeypatch.setattr(_PoolRecorder, "sizes", [])
     serial = run_sweep(SMALL, SweepSpec("pss", (0.5,), (2,), n_runs=2), workers=1)
     assert _PoolRecorder.sizes == []
@@ -117,6 +121,37 @@ def test_sweep_starts_at_most_one_worker_per_run(monkeypatch):
     # A one-run sweep runs in this process.
     run_sweep(SMALL, SweepSpec("pss", (0.5,), (2,), n_runs=1), workers=64)
     assert _PoolRecorder.sizes == [2]
+
+
+_POOL_IMPORTS = """
+import sys
+from dataclasses import replace
+
+from cdnsim import SweepSpec, default_config, run_simulation, run_sweep
+
+POOL = ("concurrent.futures.process", "multiprocessing")
+cfg = default_config(n_servers=12, n_users=12, n_files=10, cache_size=2,
+                     horizon_events=2_000, lattice_side=6)
+sweep = SweepSpec("pss", (0.5,), (2,), n_runs=2)
+run_simulation(cfg, "pss:0.5", 1)
+serial = run_sweep(cfg, sweep, workers=1)
+run_sweep(cfg, replace(sweep, n_runs=1), workers=8)
+print([m for m in POOL if m in sys.modules])
+pooled = run_sweep(cfg, sweep, workers=2)
+print([m for m in POOL if m in sys.modules], pooled == serial)
+"""
+
+
+def test_only_a_pooled_sweep_loads_the_process_pool():
+    # A fresh interpreter, since pytest's plugins may have loaded
+    # multiprocessing here already.
+    src = os.path.dirname(os.path.dirname(cdnsim.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _POOL_IMPORTS], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "[]", "['concurrent.futures.process', 'multiprocessing'] True"]
 
 
 def test_run_sweep_seeds_from_the_config():
