@@ -90,7 +90,7 @@ def _one_run(job):
     cfg, strategy, run_seed, cost_matrix, allocation, trace, placement = job
     opened = []
     try:
-        if placement:
+        if placement is not None:
             # Materialize what the run would draw so the allocation can be dumped.
             cost_matrix, allocation = run_inputs(
                 cfg, substream(run_seed, "layout"), substream(run_seed, "placement"),
@@ -100,8 +100,9 @@ def _one_run(job):
                 opened.append(placement)
                 for k, files in enumerate(allocation.server_files):
                     fh.write(f"{k}: {','.join(str(f) for f in sorted(files))}\n")
-        with (open(trace, "w", encoding="utf-8", newline="") if trace else nullcontext()) as fh:
-            if trace:
+        with (nullcontext() if trace is None
+              else open(trace, "w", encoding="utf-8", newline="")) as fh:
+            if trace is not None:
                 opened.append(trace)
             return run_simulation(cfg, strategy, run_seed, cost_matrix=cost_matrix,
                                   allocation=allocation, trace=fh)
@@ -170,7 +171,7 @@ def run_sweep(
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    if (_trace or _placement) and (len(sweep.points()) != 1 or sweep.n_runs != 1):
+    if (_trace, _placement) != (None, None) and (len(sweep.points()) != 1 or sweep.n_runs != 1):
         raise ConfigError("--trace/--dump-placement need exactly one point and --runs 1")
     jobs = _sweep_runs(cfg, sweep, cost_matrix, fixed_topology, _trace, _placement)
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
@@ -278,7 +279,7 @@ def _main_simulate(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.config:
+    if args.config is not None:
         cfg, cfg_strategy = load_config(args.config)
     else:
         cfg, cfg_strategy = default_config(), None
@@ -287,9 +288,9 @@ def _main_simulate(argv) -> int:
     cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
 
     strategy = None
-    if args.strategy:
+    if args.strategy is not None:
         text = args.strategy.strip().lower()
-        if args.sweep and ":" not in text and STRATEGY_PARAMS.get(text):
+        if args.sweep is not None and ":" not in text and STRATEGY_PARAMS.get(text):
             kind = text  # bare parametric family, parameters come from --sweep
         else:
             strategy = StrategySpec.parse(text)
@@ -300,7 +301,7 @@ def _main_simulate(argv) -> int:
     else:
         raise ConfigError("no strategy given (use --strategy or a config 'strategy' line)")
 
-    if args.sweep:
+    if args.sweep is not None:
         if strategy is not None and strategy.param is not None:
             raise ConfigError(
                 f"--sweep conflicts with the fixed parameter in {strategy}; "
@@ -312,16 +313,18 @@ def _main_simulate(argv) -> int:
 
     cache_sizes = (
         tuple(read_number(m, "--cache-sizes", int) for m in args.cache_sizes.split(","))
-        if args.cache_sizes else (cfg.cache_size,)
+        if args.cache_sizes is not None else (cfg.cache_size,)
     )
     sweep = SweepSpec(strategy=kind, params=params, cache_sizes=cache_sizes, n_runs=args.runs)
 
-    matrix = load_cost_matrix(args.cost_matrix) if args.cost_matrix else None
+    matrix = load_cost_matrix(args.cost_matrix) if args.cost_matrix is not None else None
 
     # --out is opened only after the sweep, so that an error on the way
-    # leaves no CSV; a missing directory, or an --out that is a directory,
-    # fails before any run instead, with the error open would give.
-    if not os.path.isdir(os.path.dirname(args.out) or os.curdir):
+    # leaves no CSV; an empty --out, a missing directory, or an --out that
+    # is a directory fails before any run instead, with the error open
+    # would give. An empty --trace or --dump-placement fails where its run
+    # opens it, before the run starts.
+    if not args.out or not os.path.isdir(os.path.dirname(args.out) or os.curdir):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     if os.path.isdir(args.out):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
@@ -336,49 +339,8 @@ def _main_simulate(argv) -> int:
     return 0
 
 
-def _main_oracle_check(argv) -> int:
-    # Not advertised: brute-force dominance self-test on random tiny instances.
-    # Prints the oracle and replayed policy values in repr, one line per
-    # (instance, weight, policy), so two versions' replays compare as bytes.
-    from .oracle import exhaustive_objective_search, random_tiny_instance, replay_strategy
-
-    parser = argparse.ArgumentParser(prog="simulate oracle-check")
-    parser.add_argument("--instances", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cost-weights", default="0,0.5,1")
-    args = parser.parse_args(argv)
-    weights = [read_number(w, "--cost-weights") for w in args.cost_weights.split(",")]
-    if not all(0.0 <= w <= 1.0 for w in weights):
-        raise ConfigError(f"cost weights must lie in [0, 1], got {args.cost_weights}")
-    if args.instances < 1:
-        raise ConfigError("--instances must be >= 1")
-
-    rng = Random(args.seed)
-    policies = ["mincost", "minqueue", "pss:0.5", "wmc:0.5", "mcs:2"]
-    failures = 0
-    for i in range(args.instances):
-        inst = random_tiny_instance(rng)
-        for w in weights:
-            _, best = exhaustive_objective_search(inst, w)
-            for name in policies:
-                val = replay_strategy(inst, name, w, Random(rng.randrange(2**32)))
-                dominated = best <= val + 1e-9
-                failures += not dominated
-                print(f"instance {i} w={w} {name}: oracle {best!r} policy {val!r}"
-                      + ("" if dominated else " FAIL"))
-        print(f"instance {i}: ok")
-    if failures:
-        print(f"{failures} dominance violations", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        if argv and argv[0] == "oracle-check":
-            return _main_oracle_check(argv[1:])
         return _main_simulate(argv)
     except (ConfigError, OSError) as err:
         print(f"simulate: error: {err}", file=sys.stderr)

@@ -6,10 +6,10 @@ feasible assignment sequences of a tiny instance bounds every mapping
 strategy from below on a fixed trace. Tiny instances have deterministic
 (constant) service: only then does the best fixed sequence bound an
 adaptive policy, which sees the queues and may choose differently on
-each service path. Strategies are replayed through
-strategies.bind_strategy with the queue state the engine would keep, so
-they take the decision path the engine runs; nothing here imports the
-engine itself.
+each service path; dominance is the one check of that bound.
+Strategies are replayed through strategies.bind_strategy with the queue
+state the engine would keep, so they take the decision path the engine
+runs; nothing here imports the engine itself.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import CacheAllocation, ConfigError, CostMatrix, ServiceSpec, StrategySpec
 from .popularity import candidate_table
@@ -190,6 +190,23 @@ def replay_strategy(
                                jobs_in_system=in_system)
         servers.append(decide(inst.users[j], inst.files[j], queues).server)
     return sequence_objective(inst, servers, cost_weight)
+
+
+def dominance(
+    inst: TinyInstance, cost_weight: float, policies: Sequence[str],
+    replay_rng: Callable[[], Random],
+) -> tuple[tuple[int, ...], float, dict[str, float], list[str]]:
+    """The brute-force dominance check: the exhaustive optimum must not
+    lie above any policy's replayed value.
+
+    Returns the optimal sequence, its value, each policy's replayed value
+    in the order given, and the policies that beat the optimum by more
+    than 1e-9 (float rounding), so an empty list is a pass. replay_rng()
+    is called once per policy, after the search, for that replay's Random.
+    """
+    seq, best = exhaustive_objective_search(inst, cost_weight)
+    values = {name: replay_strategy(inst, name, cost_weight, replay_rng()) for name in policies}
+    return seq, best, values, [name for name, val in values.items() if best > val + 1e-9]
 
 
 def random_tiny_instance(rng: Random, *, n_requests: int = 6) -> TinyInstance:

@@ -22,10 +22,9 @@ from cdnsim.cli import main
 from cdnsim.engine import mix_seed, run_simulation, substream
 from cdnsim.model import StrategySpec, default_config
 from cdnsim.oracle import (
-    exhaustive_objective_search,
+    dominance,
     mm1_mean_sojourn,
     random_tiny_instance,
-    replay_strategy,
     supermarket_mean_queue,
 )
 from cdnsim.topology import manhattan_cost_matrix, random_lattice_layout
@@ -462,11 +461,8 @@ def test_criterion_7_oracle_dominance(capsys):
     for i in range(20):
         inst = random_tiny_instance(Random(7000 + i), n_requests=6)
         for weight in (0.0, 0.5, 1.0):
-            seq, best = exhaustive_objective_search(inst, weight)
-            for strat in strategies:
-                achieved = replay_strategy(inst, strat, weight, Random(100 + i))
-                if best > achieved + 1e-9:
-                    violations.append((i, weight, strat))
+            seq, _, _, beaten = dominance(inst, weight, strategies, lambda: Random(100 + i))
+            violations.extend((i, weight, strat) for strat in beaten)
             if weight == 1.0:
                 cands = inst.request_candidates()
                 expected = tuple(

@@ -7,21 +7,23 @@ engine's queue state at full replication, the memo and pss's queue
 scan on partial replication, wmc's endpoint twins, mincost and pss:0,
 and mcs's tie sampling;
 --dump-placement files at M = 2, 8 and 70, drawn per run and from a
-fixed topology; and the replayed policy values that `simulate
-oracle-check` prints. A change that alters any layout, placement,
-decision or draw changes one of these files.
+fixed topology; and every replayed policy value of the brute-force
+dominance check on six tiny instances, which _write_oracle_check writes
+through cdnsim.oracle.dominance. A change that alters any layout,
+placement, decision or draw changes one of these files.
 
 The files in tests/data/golden were written by this module. To rewrite
 them after a change that is meant to alter outputs (and says so), run
 `PYTHONPATH=src python tests/test_golden.py`.
 """
 
-from contextlib import redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from cdnsim.cli import main
+from cdnsim.oracle import dominance, random_tiny_instance
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 COMMON = ["--events", "2000", "--warmup", "200", "--seed", "12", "--workers", "1"]
@@ -58,8 +60,8 @@ PLACEMENTS = {
     "M8_fixed": (8, ["--fixed-topology"]),
     "M70_fixed": (70, ["--fixed-topology"]),
 }
-# Every replayed policy value of a brute-force dominance check, in repr.
-ORACLE_ARGV = ["oracle-check", "--instances", "6", "--seed", "4", "--cost-weights", "0,0.5,1"]
+# The dominance check's policies, in the order its lines are written.
+POLICIES = ("mincost", "minqueue", "pss:0.5", "wmc:0.5", "mcs:2")
 
 
 def _sweep_argv(family: str, out: Path, *extra: str) -> list[str]:
@@ -82,8 +84,21 @@ def _placement_argv(name: str, out: Path, placement: Path) -> list[str]:
 
 
 def _write_oracle_check(path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh, redirect_stdout(fh):
-        assert main(ORACLE_ARGV) == 0
+    # One line per (instance, weight, policy) with both values in repr, so
+    # two versions' replays compare as bytes. Instances and replay seeds
+    # come from one Random(4) chain: an instance, then per weight one
+    # replay seed per policy, drawn after that weight's search.
+    rng = Random(4)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for i in range(6):
+            inst = random_tiny_instance(rng)
+            for w in (0.0, 0.5, 1.0):
+                _, best, values, beaten = dominance(
+                    inst, w, POLICIES, lambda: Random(rng.randrange(2**32)))
+                assert not beaten, (i, w, beaten)
+                for name, val in values.items():
+                    fh.write(f"instance {i} w={w} {name}: oracle {best!r} policy {val!r}\n")
+            fh.write(f"instance {i}: ok\n")
 
 
 @pytest.mark.parametrize("family", sorted(SWEEPS))

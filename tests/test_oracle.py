@@ -7,6 +7,7 @@ import pytest
 from cdnsim.model import CacheAllocation, ConfigError, CostMatrix, ServiceSpec
 from cdnsim.oracle import (
     TinyInstance,
+    dominance,
     exhaustive_objective_search,
     mm1_mean_sojourn,
     random_tiny_instance,
@@ -142,10 +143,8 @@ def test_oracle_never_beaten_by_any_strategy_under_constant_service():
     for seed in range(10):
         inst = random_tiny_instance(Random(seed))
         for weight in (0.0, 0.5, 1.0):
-            _, best = exhaustive_objective_search(inst, weight)
-            for strat in strategies:
-                achieved = replay_strategy(inst, strat, weight, Random(seed + 1))
-                assert best <= achieved + 1e-9, (seed, weight, strat)
+            _, _, _, beaten = dominance(inst, weight, strategies, lambda: Random(seed + 1))
+            assert not beaten, (seed, weight, beaten)
 
 
 def test_replayed_switch_extremes_match_pure_strategies():
