@@ -9,21 +9,23 @@ rows floats and CacheAllocation makes each server's files a frozenset.
 CostMatrix has two ways in. CostMatrix(rows) converts and checks every
 entry, and is the way for every matrix from outside the Manhattan
 builder: loaded files, injected matrices, the oracle's instances. The
-private CostMatrix._of_sums is the builder's way: its rows are float
-sums of distance rows the builder made itself, so they are taken as
-given and the entry rule is checked on the distinct distance values
-(about 40 sets of about 20 at the default lattice side) instead of on
-10,000 sums, the largest part of a run's set-up otherwise. Whether a
-configuration is stable depends on the strategy and on the drawn
-layout and placement, so no check of it is made up front: each run
-reports signs of overload on its RunResult. Each input rule lives here once: read_number reads
-every number from outside text, STRATEGY_PARAMS names each family's
-parameter, check_cache_geometry is shared by SimConfig and placement,
-check_lattice_side by SimConfig and the lattice layouts,
-check_zipf_beta by SimConfig and the Zipf profile, check_cost_matrix
-by the run inputs and the sweep driver, and the cost entry rule,
-_check_cost_row, by both ways into CostMatrix. seq_sum is the one
-float sum whose result feeds an output.
+private CostMatrix._of_sums is the builder's way: it takes its rows as
+given, because they keep the entry rule by construction. A
+LatticeLayout holds only int coordinates in [0, side), and
+check_lattice_side bounds side to [1, 2**52], so every distance is an
+exact float below 2**52 and every cost, a sum of two, an exact float
+below 2**53. So the builder's 10,000 sums at the default size are not
+walked again, which would otherwise be the largest part of a run's
+set-up. Whether a configuration is stable depends on the strategy and
+on the drawn layout and placement, so no check of it is made up front:
+each run reports signs of overload on its RunResult. Each input rule
+lives here once: read_number reads every number from outside text,
+STRATEGY_PARAMS names each family's parameter, check_cache_geometry is
+shared by SimConfig and placement, check_lattice_side, with both its
+bounds, by SimConfig and the lattice layouts, check_zipf_beta by
+SimConfig and the Zipf profile, check_cost_matrix by the run inputs
+and the sweep driver, and the cost entry rule by CostMatrix(rows).
+seq_sum is the one float sum whose result feeds an output.
 """
 
 from __future__ import annotations
@@ -223,9 +225,6 @@ class SimConfig:
                 f"{self.horizon_events}"
             )
         check_lattice_side(self.lattice_side)
-        # Up to this side every lattice distance, and every sum of two, is an exact float.
-        if self.lattice_side > 2**52:
-            raise ConfigError(f"lattice_side must be <= 2**52, got {self.lattice_side}")
         if not 0 <= self.base_seed < _MAX_SEED:
             raise ConfigError("base_seed must fit in an unsigned 64-bit integer")
 
@@ -261,9 +260,14 @@ def check_cache_geometry(n_servers: int, n_files: int, cache_size: int) -> None:
 
 
 def check_lattice_side(side: int) -> None:
-    """Raise ConfigError unless a lattice has at least one cell a side."""
+    """Raise ConfigError unless a lattice has at least one cell a side and
+    at most 2**52. Up to that side every distance between two of its
+    points is an exact float below 2**52, and every sum of two distances
+    an exact float below 2**53."""
     if side < 1:
         raise ConfigError(f"lattice side must be >= 1, got {side}")
+    if side > 2**52:
+        raise ConfigError(f"lattice_side must be <= 2**52, got {side}")
 
 
 def check_zipf_beta(beta: float) -> None:
@@ -279,17 +283,6 @@ def check_cost_matrix(cost_matrix: CostMatrix, cfg: SimConfig) -> None:
             f"cost matrix is {cost_matrix.n_users}x{cost_matrix.n_servers}, "
             f"config needs {cfg.n_users}x{cfg.n_servers}"
         )
-
-
-def _check_cost_row(row, name: str) -> None:
-    """The entry rule of a cost matrix: raise ConfigError unless every
-    entry of the non-empty float row is finite and >= 0, naming the first
-    bad one as name[k]. The row is scanned by C-level builtins and walked
-    only to name that entry."""
-    if not (all(map(math.isfinite, row)) and min(row) >= 0.0):
-        for k, c in enumerate(row):
-            if not (math.isfinite(c) and c >= 0.0):
-                raise ConfigError(f"{name}[{k}] must be finite and >= 0, got {c}")
 
 
 @dataclass(frozen=True)
@@ -309,32 +302,23 @@ class CostMatrix:
         for i, row in enumerate(entries):
             if len(row) != width:
                 raise ConfigError(f"cost matrix row {i} has length {len(row)}, expected {width}")
-            _check_cost_row(row, f"cost[{i}]")
+            # Each row is scanned by C-level builtins, and walked only to
+            # name its first bad entry.
+            if not (all(map(math.isfinite, row)) and min(row) >= 0.0):
+                for k, c in enumerate(row):
+                    if not (math.isfinite(c) and c >= 0.0):
+                        raise ConfigError(f"cost[{i}][{k}] must be finite and >= 0, got {c}")
 
     @classmethod
-    def _of_sums(cls, rows, x_rows, y_rows) -> "CostMatrix":
+    def _of_sums(cls, rows) -> "CostMatrix":
         """The matrix whose entries are rows, taken as given: a tuple of
-        equal-length float tuples, each entry the sum of an x distance and
-        a y distance. x_rows and y_rows are non-empty collections of those
-        distances; the Manhattan builder passes each user coordinate's
-        distinct values, about 20 at side 20, not its 100-entry row. The
-        entry rule is checked on the distances instead of the sums: when
-        each is finite and >= 0 and the largest x distance plus the
-        largest y distance is finite, every sum is too, as float addition
-        is monotone. A bad distance is named by its place in its
-        collection."""
+        equal-length float tuples that keep the entry rule by
+        construction. The Manhattan builder's rows do: a LatticeLayout's
+        coordinates are ints in [0, side) on a side that
+        check_lattice_side bounds, so each entry is the exact float sum of
+        two distances below 2**52."""
         if not rows or not rows[0]:
             raise ConfigError("cost matrix must be non-empty")
-        for axis, distances in (("x", x_rows), ("y", y_rows)):
-            for row in distances:
-                _check_cost_row(row, f"{axis} distance")
-        largest_x = max(map(max, x_rows))
-        largest_y = max(map(max, y_rows))
-        if not math.isfinite(largest_x + largest_y):
-            raise ConfigError(
-                f"cost may overflow: largest x distance {largest_x} "
-                f"plus largest y distance {largest_y} is not finite"
-            )
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "entries", rows)
         return matrix
@@ -358,8 +342,9 @@ class CacheAllocation:
 
     def __post_init__(self) -> None:
         # The one place each server's files become a frozenset (an exact
-        # frozenset is kept as is); each is scanned by min and max, and
-        # walked only to name the first unknown one.
+        # frozenset is kept as is); each is scanned by sum, min and max,
+        # and walked only to name the first unknown one. A float among the
+        # files, NaN included, makes the sum a float.
         object.__setattr__(self, "server_files", tuple(map(frozenset, self.server_files)))
         if not self.server_files:
             raise ConfigError("allocation must cover at least one server")
@@ -370,9 +355,10 @@ class CacheAllocation:
                 raise ConfigError(
                     f"server {k} caches {len(files)} files, expected {size}"
                 )
-            if files and not (0 <= min(files) and max(files) < n_files):
+            if files and not (type(sum(files)) is int and 0 <= min(files)
+                              and max(files) < n_files):
                 for f in files:
-                    if not 0 <= f < n_files:
+                    if not (isinstance(f, int) and 0 <= f < n_files):
                         raise ConfigError(f"server {k} caches unknown file {f}")
         covered = frozenset().union(*self.server_files)
         if len(covered) != n_files:

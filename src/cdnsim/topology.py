@@ -15,25 +15,34 @@ Point = tuple[int, int]
 
 @dataclass(frozen=True)
 class LatticeLayout:
-    """Integer grid positions of every user and server; collisions allowed."""
+    """Integer grid positions of every user and server; collisions allowed.
+
+    Construction checks the whole lattice rule: side passes
+    check_lattice_side and every coordinate is an int in [0, side). So
+    every distance between two points is an exact float below 2**52, and
+    the Manhattan builder's costs keep the entry rule by construction.
+    """
 
     side: int
     users: tuple[Point, ...]
     servers: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        # Each coordinate column is scanned by min and max, and the points
-        # are walked only to name the first one off the grid.
+        # Each coordinate column is scanned by sum, min and max, and the
+        # points are walked only to name the first one off the grid. A
+        # float in a column, NaN included, makes its sum a float.
         side = self.side
         check_lattice_side(side)
         for label, pts in (("user", self.users), ("server", self.servers)):
             if not pts:
                 continue
             xs, ys = zip(*pts)
-            if 0 <= min(xs) and max(xs) < side and 0 <= min(ys) and max(ys) < side:
+            if (type(sum(xs)) is int and type(sum(ys)) is int and 0 <= min(xs)
+                    and max(xs) < side and 0 <= min(ys) and max(ys) < side):
                 continue
             for i, (x, y) in enumerate(pts):
-                if not (0 <= x < side and 0 <= y < side):
+                if not (isinstance(x, int) and isinstance(y, int)
+                        and 0 <= x < side and 0 <= y < side):
                     raise ConfigError(f"{label} {i} at {(x, y)} is off the {side}x{side} grid")
 
 
@@ -47,13 +56,12 @@ def random_lattice_layout(n_users: int, n_servers: int, side: int, rng: Random) 
 
 
 def _distance_rows(user_cs, server_cs):
-    # ({u: [|u - c| for c in server_cs]}, [each row's distances]) over the
-    # distinct user coordinates u. |u - c| is computed once per distinct
-    # server coordinate c, in a dict that each row is mapped from in C.
+    # {u: [|u - c| for c in server_cs]} over the distinct user coordinates
+    # u. |u - c| is computed once per distinct server coordinate c, in a
+    # dict that each row is mapped from in C.
     floats = {c: float(c) for c in dict.fromkeys(server_cs)}
-    dists = {u: {c: abs(u - f) for c, f in floats.items()} for u in dict.fromkeys(user_cs)}
-    return ({u: list(map(d.__getitem__, server_cs)) for u, d in dists.items()},
-            [d.values() for d in dists.values()])
+    return {u: list(map({c: abs(u - f) for c, f in floats.items()}.__getitem__, server_cs))
+            for u in dict.fromkeys(user_cs)}
 
 
 def manhattan_cost_matrix(layout: LatticeLayout) -> CostMatrix:
@@ -63,18 +71,18 @@ def manhattan_cost_matrix(layout: LatticeLayout) -> CostMatrix:
     distinct server x (about 20 of 100 servers at side 20) and mapped over
     the servers into a row; the same goes for y. One cost row is built per
     distinct user cell, the elementwise sum of its two distance rows;
-    users on the same cell share that row. The distances are small
-    integers, so every float sum is exact and equals float(|dx| + |dy|).
-    The rows go to CostMatrix._of_sums with the distinct distance values,
-    on which it checks the entry rule; the sums are not converted or
-    walked again.
+    users on the same cell share that row. The layout's checked
+    invariant makes every distance an exact float below 2**52 and every
+    sum an exact float below 2**53 that equals float(|dx| + |dy|). The
+    rows thus keep the entry rule by construction and go to
+    CostMatrix._of_sums, which takes them as given.
     """
     users, servers = layout.users, layout.servers
-    x_rows, x_distances = _distance_rows([x for x, _ in users], [x for x, _ in servers])
-    y_rows, y_distances = _distance_rows([y for _, y in users], [y for _, y in servers])
+    x_rows = _distance_rows([x for x, _ in users], [x for x, _ in servers])
+    y_rows = _distance_rows([y for _, y in users], [y for _, y in servers])
     cell_rows = {cell: tuple(map(add, x_rows[cell[0]], y_rows[cell[1]]))
                  for cell in dict.fromkeys(users)}
-    return CostMatrix._of_sums(tuple(map(cell_rows.__getitem__, users)), x_distances, y_distances)
+    return CostMatrix._of_sums(tuple(map(cell_rows.__getitem__, users)))
 
 
 def load_cost_matrix(path) -> CostMatrix:

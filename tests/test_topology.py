@@ -1,5 +1,6 @@
 """Lattice layouts, Manhattan cost matrices, and matrix file I/O."""
 
+import re
 from random import Random
 
 import pytest
@@ -39,6 +40,17 @@ def test_layout_rejects_out_of_bounds_points():
                       servers=((0, 2), (2, 0), (1, 3), (1, 1), (-1, 0)))
     with pytest.raises(ConfigError, match=r"^user 1 at \(3, 0\) is off the 3x3 grid$"):
         LatticeLayout(side=3, users=((0, 0), (3, 0), (0, -1)), servers=((1, 5),))
+    # Every coordinate is an int: a float is off the grid even where it
+    # lies in range, and a NaN wherever it sits in its column.
+    nan = float("nan")
+    for users, servers, message in [
+        (((1, 0), (nan, 0)), ((0, 0), (2, 2)), "user 1 at (nan, 0)"),
+        (((1, 0), (2, 2)), ((0, 0), (3, 1), (2, nan)), "server 2 at (2, nan)"),
+        (((1, 0), (2.5, 2)), ((0, 0),), "user 1 at (2.5, 2)"),
+        (((1, 0),), ((0, 0), (1, 2.0)), "server 1 at (1, 2.0)"),
+    ]:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(message)} is off the 5x5 grid$"):
+            LatticeLayout(side=5, users=users, servers=servers)
 
 
 def test_random_layout_is_deterministic_per_seed():
@@ -97,6 +109,8 @@ def test_manhattan_matrix_properties(side, n_users, n_servers, seed):
             ux, uy = layout.users[i]
             sx, sy = layout.servers[k]
             assert cost == abs(ux - sx) + abs(uy - sy)
+    # The full conversion and check accept the builder's rows as they are.
+    assert CostMatrix(matrix.entries) == matrix
 
 
 def _layout_cases():
@@ -142,10 +156,10 @@ def test_manhattan_matrix_equals_per_entry_distances(name, layout):
 
 
 def test_manhattan_matrix_rejects_a_cost_that_overflows():
+    # A side past 2**52 is refused before any distance is computed.
     far = 15 * 10**307
-    layout = LatticeLayout(2 * far, users=((0, 0),), servers=((far, far),))
-    with pytest.raises(ConfigError, match="^cost may overflow: largest x distance 1.5e"):
-        manhattan_cost_matrix(layout)
+    with pytest.raises(ConfigError, match=rf"^lattice_side must be <= 2\*\*52, got {2 * far}$"):
+        LatticeLayout(2 * far, users=((0, 0),), servers=((far, far),))
 
 
 def test_cost_matrix_roundtrip(tmp_path):
