@@ -20,11 +20,15 @@ set-up. Whether a configuration is stable depends on the strategy and
 on the drawn layout and placement, so no check of it is made up front:
 each run reports signs of overload on its RunResult. Each input rule
 lives here once: read_number reads every number from outside text,
-STRATEGY_PARAMS names each family's parameter, check_cache_geometry is
-shared by SimConfig and placement, check_lattice_side, with both its
-bounds, by SimConfig and the lattice layouts, check_zipf_beta by
-SimConfig and the Zipf profile, check_cost_matrix by the run inputs
-and the sweep driver, and the cost entry rule by CostMatrix(rows).
+_INT_FIELDS names the SimConfig fields that must be ints, checked in
+one loop before any range, STRATEGY_PARAMS names each family's
+parameter, check_cache_geometry is shared by SimConfig and placement,
+check_lattice_side, with its int rule and both its bounds, by SimConfig
+and the lattice layouts, check_zipf_beta by SimConfig and the Zipf
+profile, check_cost_matrix by the run inputs and the sweep driver, and
+the cost entry rule by CostMatrix(rows). Each entry rule of a value
+type (cost entries, file ids, lattice points) is one predicate in one
+walk over the entries, which names the first entry that breaks it.
 seq_sum is the one float sum whose result feeds an output.
 """
 
@@ -61,6 +65,10 @@ class HorizonError(ConfigError):
 
 
 _MAX_SEED = 2**64
+
+# SimConfig's count and seed fields; each must be an int.
+_INT_FIELDS = ("n_servers", "n_users", "n_files", "cache_size", "horizon_events",
+               "warmup_events", "base_seed")
 
 
 def seq_sum(values) -> float:
@@ -193,6 +201,10 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arrival_rates", tuple(float(r) for r in self.arrival_rates))
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.n_servers < 1 or self.n_users < 1 or self.n_files < 1:
             raise ConfigError("n_servers, n_users and n_files must all be >= 1")
         check_cache_geometry(self.n_servers, self.n_files, self.cache_size)
@@ -241,7 +253,9 @@ def default_config(**overrides) -> SimConfig:
         horizon_events=100_000,
     )
     base.update(overrides)
-    base.setdefault("arrival_rates", (0.9,) * base["n_users"])
+    n_users = base["n_users"]
+    # A non-int n_users gets no rates here and fails SimConfig's int rule.
+    base.setdefault("arrival_rates", (0.9,) * n_users if isinstance(n_users, int) else ())
     return SimConfig(**base)
 
 
@@ -260,10 +274,12 @@ def check_cache_geometry(n_servers: int, n_files: int, cache_size: int) -> None:
 
 
 def check_lattice_side(side: int) -> None:
-    """Raise ConfigError unless a lattice has at least one cell a side and
-    at most 2**52. Up to that side every distance between two of its
-    points is an exact float below 2**52, and every sum of two distances
-    an exact float below 2**53."""
+    """Raise ConfigError unless a lattice side is an int of at least one
+    cell and at most 2**52. Up to that side every distance between two of
+    its points is an exact float below 2**52, and every sum of two
+    distances an exact float below 2**53."""
+    if not isinstance(side, int):
+        raise ConfigError(f"lattice side must be an int, got {side!r}")
     if side < 1:
         raise ConfigError(f"lattice side must be >= 1, got {side}")
     if side > 2**52:
@@ -302,12 +318,9 @@ class CostMatrix:
         for i, row in enumerate(entries):
             if len(row) != width:
                 raise ConfigError(f"cost matrix row {i} has length {len(row)}, expected {width}")
-            # Each row is scanned by C-level builtins, and walked only to
-            # name its first bad entry.
-            if not (all(map(math.isfinite, row)) and min(row) >= 0.0):
-                for k, c in enumerate(row):
-                    if not (math.isfinite(c) and c >= 0.0):
-                        raise ConfigError(f"cost[{i}][{k}] must be finite and >= 0, got {c}")
+            for k, c in enumerate(row):
+                if not (math.isfinite(c) and c >= 0.0):
+                    raise ConfigError(f"cost[{i}][{k}] must be finite and >= 0, got {c}")
 
     @classmethod
     def _of_sums(cls, rows) -> "CostMatrix":
@@ -342,9 +355,7 @@ class CacheAllocation:
 
     def __post_init__(self) -> None:
         # The one place each server's files become a frozenset (an exact
-        # frozenset is kept as is); each is scanned by sum, min and max,
-        # and walked only to name the first unknown one. A float among the
-        # files, NaN included, makes the sum a float.
+        # frozenset is kept as is).
         object.__setattr__(self, "server_files", tuple(map(frozenset, self.server_files)))
         if not self.server_files:
             raise ConfigError("allocation must cover at least one server")
@@ -355,11 +366,9 @@ class CacheAllocation:
                 raise ConfigError(
                     f"server {k} caches {len(files)} files, expected {size}"
                 )
-            if files and not (type(sum(files)) is int and 0 <= min(files)
-                              and max(files) < n_files):
-                for f in files:
-                    if not (isinstance(f, int) and 0 <= f < n_files):
-                        raise ConfigError(f"server {k} caches unknown file {f}")
+            for f in files:
+                if not (isinstance(f, int) and 0 <= f < n_files):
+                    raise ConfigError(f"server {k} caches unknown file {f}")
         covered = frozenset().union(*self.server_files)
         if len(covered) != n_files:
             missing = sorted(set(range(n_files)) - covered)
@@ -429,10 +438,8 @@ class RunResult:
 # fields. `arrival_rate` sets one shared rate for every user; a `strategy`
 # line may preselect a mapping strategy.
 
-_NUMBER_KEYS = dict.fromkeys(
-    ("n_servers", "n_users", "n_files", "cache_size", "horizon_events",
-     "warmup_events", "lattice_side", "base_seed"), int,
-) | {"zipf_beta": float, "arrival_rate": float}
+_NUMBER_KEYS = dict.fromkeys(_INT_FIELDS + ("lattice_side",), int) | {
+    "zipf_beta": float, "arrival_rate": float}
 
 
 def parse_config(text: str) -> tuple[SimConfig, StrategySpec | None]:

@@ -28,18 +28,9 @@ class LatticeLayout:
     servers: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        # Each coordinate column is scanned by sum, min and max, and the
-        # points are walked only to name the first one off the grid. A
-        # float in a column, NaN included, makes its sum a float.
         side = self.side
         check_lattice_side(side)
         for label, pts in (("user", self.users), ("server", self.servers)):
-            if not pts:
-                continue
-            xs, ys = zip(*pts)
-            if (type(sum(xs)) is int and type(sum(ys)) is int and 0 <= min(xs)
-                    and max(xs) < side and 0 <= min(ys) and max(ys) < side):
-                continue
             for i, (x, y) in enumerate(pts):
                 if not (isinstance(x, int) and isinstance(y, int)
                         and 0 <= x < side and 0 <= y < side):

@@ -143,6 +143,20 @@ def test_other_invalid_fields_raise_config_error():
             make_config(**bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_servers", 100.0), ("n_users", 100.0), ("n_files", 70.0), ("cache_size", 2.0),
+    ("horizon_events", 1e3), ("warmup_events", 1.0), ("base_seed", 1.0),
+])
+def test_int_fields_must_be_ints(field, value):
+    # A float is named, also where it equals an int, before any range rule.
+    message = f"^{re.escape(f'{field} must be an int, got {value}')}$"
+    with pytest.raises(ConfigError, match=message):
+        make_config(**{field: value})
+    with pytest.raises(ConfigError, match=message):
+        replace(make_config(), **{field: value})
+    assert getattr(make_config(**{field: int(value)}), field) == int(value)
+
+
 @given(
     n_servers=st.integers(1, 40),
     n_files=st.integers(1, 60),
@@ -286,7 +300,7 @@ def test_cache_allocation_validation():
     # A file id that is not an int is unknown too, even where it lies in
     # range and the files would otherwise cover the library; a NaN is
     # found wherever it iterates in its set.
-    for bad in (2.0, 2.5, math.nan):
+    for bad in (2.0, 2.5, math.nan, "a", None):
         with pytest.raises(ConfigError, match=rf"^server 1 caches unknown file {bad}$"):
             CacheAllocation([{0, 1}, {1, bad}], n_files=3)
     with pytest.raises(ConfigError, match="at least one server"):
@@ -414,7 +428,9 @@ def test_zipf_exponent_rule_is_shared_by_config_and_profile(beta):
 
 def test_lattice_side_rule_is_shared_by_config_and_layouts():
     for side, message in [(0, "lattice side must be >= 1, got 0"),
-                          (2**52 + 1, f"lattice_side must be <= 2**52, got {2**52 + 1}")]:
+                          (2**52 + 1, f"lattice_side must be <= 2**52, got {2**52 + 1}"),
+                          (2.5, "lattice side must be an int, got 2.5"),
+                          (20.0, "lattice side must be an int, got 20.0")]:
         pattern = f"^{re.escape(message)}$"
         with pytest.raises(ConfigError, match=pattern):
             make_config(lattice_side=side)

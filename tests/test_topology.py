@@ -41,13 +41,16 @@ def test_layout_rejects_out_of_bounds_points():
     with pytest.raises(ConfigError, match=r"^user 1 at \(3, 0\) is off the 3x3 grid$"):
         LatticeLayout(side=3, users=((0, 0), (3, 0), (0, -1)), servers=((1, 5),))
     # Every coordinate is an int: a float is off the grid even where it
-    # lies in range, and a NaN wherever it sits in its column.
+    # lies in range, a NaN wherever it sits in its column, and so is a
+    # value that is not a number.
     nan = float("nan")
     for users, servers, message in [
         (((1, 0), (nan, 0)), ((0, 0), (2, 2)), "user 1 at (nan, 0)"),
         (((1, 0), (2, 2)), ((0, 0), (3, 1), (2, nan)), "server 2 at (2, nan)"),
         (((1, 0), (2.5, 2)), ((0, 0),), "user 1 at (2.5, 2)"),
         (((1, 0),), ((0, 0), (1, 2.0)), "server 1 at (1, 2.0)"),
+        (((1, 0), ("a", 0)), ((0, 0),), "user 1 at ('a', 0)"),
+        (((1, 0),), ((0, 0), (None, 0)), "server 1 at (None, 0)"),
     ]:
         with pytest.raises(ConfigError, match=rf"^{re.escape(message)} is off the 5x5 grid$"):
             LatticeLayout(side=5, users=users, servers=servers)
